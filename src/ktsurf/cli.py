@@ -29,8 +29,6 @@ from .trisection import (Spine, SpineError, c_reducing_witness, format_spine,
                          validate_spine)
 from .invariants import (InvariantError, format_certificate, kt_bounds,
                          verify_certificate)
-from .lemmas import LEMMA_IDS, LemmaError, verify_all, verify_lemma
-from .render import render_curves, render_spine
 
 
 @dataclass
@@ -108,6 +106,8 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .lemmas import LEMMA_IDS, verify_lemma
+
     cfg = _config(args)
     ids = LEMMA_IDS if args.lemma == "all" else (args.lemma,)
     failing = 0
@@ -150,6 +150,8 @@ def cmd_distance(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .render import render_curves, render_spine
+
     if args.curves:
         sphere = PuncturedSphere(args.punctures)
         curves = [parse_curve(sphere, text) for text in args.curves]
@@ -177,6 +179,17 @@ def cmd_validate(args) -> int:
     return 0 if rep.ok else 1
 
 
+def _lemma_choice(text: str) -> str:
+    """Lemma id argument; the verifiers load only when one is asked for."""
+    from .lemmas import LEMMA_IDS
+
+    if text != "all" and text not in LEMMA_IDS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from "
+            f"{', '.join(LEMMA_IDS + ('all',))})")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ktsurf",
@@ -191,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_invariant)
 
     p = sub.add_parser("verify", help="run lemma suites")
-    p.add_argument("lemma", choices=LEMMA_IDS + ("all",))
+    p.add_argument("lemma", type=_lemma_choice, help="a lemma id, or all")
     _add_config_flags(p)
     p.set_defaults(func=cmd_verify)
 
@@ -229,7 +242,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CurveError, PantsError, TangleError, SpineError, InvariantError,
-            LemmaError, ValueError, OSError) as exc:
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

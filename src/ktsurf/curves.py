@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .diagram import Diagram, DiagramError, round_diagram, _puncture_key, _chords_cross
@@ -167,6 +168,21 @@ _INT_CACHE: dict = {}
 _ARC_CACHE: dict = {}
 
 
+@lru_cache(maxsize=512)
+def _carried(d: Diagram, word: Word) -> Diagram:
+    """``d.apply_word(inverse_word(word))`` for a non-empty `word`: its
+    letters undone, first letter first.
+
+    A search carries one curve back by the recipe words of many pool
+    curves, which share their leading letters, so recent images, and with
+    them the images after each prefix, are kept and reused.
+    """
+    g, s = word[-1]
+    if len(word) > 1:
+        d = _carried(d, word[:-1])
+    return d.half_twist(g, -s)
+
+
 def geometric_intersection(c1: Curve, c2: Curve) -> int:
     """Minimal intersection number of two curves on the sphere.
 
@@ -182,7 +198,7 @@ def geometric_intersection(c1: Curve, c2: Curve) -> int:
     hit = _INT_CACHE.get(ck)
     if hit is not None:
         return hit
-    moved = c2.diagram.apply_word(inverse_word(c1.word))
+    moved = _carried(c2.diagram, c1.word) if c1.word else c2.diagram
     out = moved.intersect_round(*c1.base)
     _INT_CACHE[ck] = out
     _INT_CACHE[(ck[1], ck[0])] = out

@@ -29,6 +29,7 @@ the new position.  Everything is integer combinatorics; no numerics anywhere.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Iterable, Sequence
 
 UPPER = 0
@@ -42,11 +43,6 @@ class DiagramError(Exception):
 def _crossing_key(seg: int, rank: int) -> tuple[int, int, int]:
     """Total-order key of a crossing point on the circle (odd slots)."""
     return (seg, 1, 2 * rank + 1)
-
-
-def _split_key(seg: int, slot: int) -> tuple[int, int, int]:
-    """Key of the gap before rank `slot` on a segment (even slots)."""
-    return (seg, 1, 2 * slot)
 
 
 def _puncture_key(p: int) -> tuple[int, int, int]:
@@ -79,16 +75,13 @@ class Diagram:
                  side0: int, _check: bool = False):
         if n < 3:
             raise DiagramError("need at least 3 punctures")
-        word = list(word)
-        ranks = list(ranks)
         if len(word) != len(ranks):
             raise DiagramError("word/ranks length mismatch")
         if len(word) % 2:
             raise DiagramError("odd number of crossings")
-        if any(not 0 <= s < n for s in word):
+        if word and (min(word) < 0 or max(word) >= n):
             raise DiagramError("segment index out of range")
-        word, ranks, side0 = _reduce(word, ranks, side0)
-        word, ranks = _renumber(word, ranks)
+        word, ranks, side0 = _reduce(n, word, ranks, side0)
         word, ranks, side0 = _canonical_rotation(word, ranks, side0)
         self.n = n
         self.word = tuple(word)
@@ -128,10 +121,7 @@ class Diagram:
         return self.side0 ^ (i & 1)
 
     def seg_counts(self) -> list[int]:
-        counts = [0] * self.n
-        for s in self.word:
-            counts[s] += 1
-        return counts
+        return list(map(self.word.count, range(self.n)))
 
     def chords(self, face: int) -> list[tuple[int, int]]:
         """Arcs lying in the given face, as pairs of crossing indices."""
@@ -142,23 +132,41 @@ class Diagram:
         return [_crossing_key(s, r) for s, r in zip(self.word, self.ranks)]
 
     def check_embedded(self) -> None:
-        """Verify per-segment ranks and pairwise disjointness of face chords."""
-        per_seg: dict[int, list[int]] = {}
-        for s, r in zip(self.word, self.ranks):
-            per_seg.setdefault(s, []).append(r)
-        for s, rs in per_seg.items():
-            if sorted(rs) != list(range(len(rs))):
-                raise DiagramError(f"ranks on segment {s} not contiguous: {rs}")
-        keys = self.crossing_keys()
+        """Verify per-segment ranks and pairwise disjointness of face chords.
+
+        With contiguous ranks a crossing's place on the circle is its
+        segment's offset plus its rank.  Cutting the circle before S_0 makes
+        it a line, on which the chords of one face are pairwise disjoint
+        exactly when their endpoints nest like brackets: a stack check.
+        """
+        word, m = self.word, len(self.word)
+        place = _places(self.n, word, self.ranks)
+        if place is None:
+            for s in sorted(set(word)):
+                rs = [r for t, r in zip(word, self.ranks) if t == s]
+                if sorted(rs) != list(range(len(rs))):
+                    raise DiagramError(
+                        f"ranks on segment {s} not contiguous: {rs}")
         for face in (UPPER, LOWER):
-            ch = self.chords(face)
-            for i in range(len(ch)):
-                a, b = ch[i]
-                for j in range(i + 1, len(ch)):
-                    c, d = ch[j]
-                    if _chords_cross(keys[a], keys[b], keys[c], keys[d]):
-                        raise DiagramError(
-                            f"face {face} chords {ch[i]} and {ch[j]} cross")
+            # Arc i, the chord from crossing i to crossing i + 1, lies in
+            # this face when i has this parity.
+            parity = face ^ self.side0
+            chord_at = [0] * m
+            for i in range(parity, m, 2):
+                chord_at[place[i]] = i
+                chord_at[place[(i + 1) % m]] = i
+            opened = [False] * m
+            stack: list[int] = []
+            for i in chord_at:
+                if not opened[i]:
+                    opened[i] = True
+                    stack.append(i)
+                elif stack[-1] == i:
+                    stack.pop()
+                else:
+                    i, j = sorted((i, stack[-1]))
+                    raise DiagramError(f"face {face} chords {(i, (i + 1) % m)} "
+                                       f"and {(j, (j + 1) % m)} cross")
 
     # -- topological readings ----------------------------------------------
 
@@ -199,54 +207,39 @@ class Diagram:
         ga, gb = i % n, (j + 1) % n
         if ga == gb:
             raise DiagramError("round curve gaps coincide")
-        m = len(self.word)
+        word, m = self.word, len(self.word)
         if m == 0:
             return 0
-        keys = self.crossing_keys()
-        # incident[c] = the two chords at crossing c; chords as index pairs
-        chords = [(k, (k + 1) % m) for k in range(m)]
-        incident: list[list[int]] = [[] for _ in range(m)]
-        for ci, (a, b) in enumerate(chords):
-            incident[a].append(ci)
-            incident[b].append(ci)
-        ranked = {}  # crossings on the two sweep segments, by (seg, rank)
-        for idx in range(m):
-            if self.word[idx] in (ga, gb):
-                ranked[(self.word[idx], self.ranks[idx])] = idx
         counts = self.seg_counts()
-
-        def in_arc(key, xa, xb):
-            return _in_cyclic(key, xa, xb)
-
-        xa = _split_key(ga, 0)
-        xb = _split_key(gb, 0)
-        inside = [in_arc(keys[idx], xa, xb) for idx in range(m)]
-        total = sum(inside[a] != inside[b] for a, b in chords)
+        lo_a, lo_b = sum(counts[:ga]), sum(counts[:gb])
+        place = _places(n, word, self.ranks)
+        at = [0] * m                 # crossing at each place on the circle
+        for k, x in enumerate(place):
+            at[x] = k
+        # Start with both crossings of the round curve before rank 0 of
+        # their segments: inside are the places from lo_a up to lo_b.
+        if lo_a < lo_b:
+            inside = [lo_a <= x < lo_b for x in place]
+        else:
+            inside = [x >= lo_a or x < lo_b for x in place]
+        total = sum(inside[k - 1] != inside[k] for k in range(m))
         best = total
-
-        def toggle(idx):
-            nonlocal total
-            for ci in incident[idx]:
-                a, b = chords[ci]
-                total -= inside[a] != inside[b]
-            inside[idx] ^= True
-            for ci in incident[idx]:
-                a, b = chords[ci]
-                total += inside[a] != inside[b]
-
-        # Serpentine sweep over the placement grid.
-        direction = 1
+        # Serpentine sweep over the placement grid; moving a crossing point
+        # of the round curve past crossing k flips the two arcs at k.
+        forward = True
         for ta in range(counts[ga] + 1):
-            if ta > 0:
-                toggle(ranked[(ga, ta - 1)])
+            steps = [at[lo_a + ta - 1]] if ta else []
+            rng = range(counts[gb]) if forward else range(counts[gb] - 1, -1, -1)
+            steps += [at[lo_b + tb] for tb in rng]
+            for k in steps:
+                me = inside[k]
+                total += ((1 if inside[k - 1] == me else -1)
+                          + (1 if inside[k + 1 if k + 1 < m else 0] == me
+                             else -1))
+                inside[k] = not me
                 if total < best:
                     best = total
-            rng = range(counts[gb]) if direction > 0 else range(counts[gb] - 1, -1, -1)
-            for tb in rng:
-                toggle(ranked[(gb, tb)])
-                if total < best:
-                    best = total
-            direction = -direction
+            forward = not forward
         return best
 
     def intersect_lower_chords(self, pairs: Iterable[tuple[int, int]]) -> int:
@@ -264,12 +257,13 @@ class Diagram:
 
     # -- mapping classes -----------------------------------------------------
 
-    def drag_below(self, s: int) -> "Diagram":
-        """Drag puncture p_{s+1} through the lower face to just before p_s.
+    def drag(self, s: int, face: int) -> "Diagram":
+        """Drag puncture p_{s+1} through `face` to just before p_s.
 
         This realises one half twist swapping the adjacent punctures at
-        positions s and s+1 (the clockwise one under our drawing convention);
-        the mirror conjugate gives the inverse twist.
+        positions s and s+1: through the lower face the clockwise one under
+        our drawing convention, through the upper face its inverse.  The two
+        faces play symmetric roles, so one surgery serves both.
         """
         n = self.n
         s %= n
@@ -279,72 +273,70 @@ class Diagram:
         if m == 0:
             return self
 
+        word, ranks = self.word, self.ranks
         counts = self.seg_counts()
-        keys = self.crossing_keys()
-        a_key = _puncture_key((s + 1) % n)
 
-        # Chords hooked by the drag: lower arcs with exactly one end in the
-        # gap between the swapped punctures.
+        # Chords hooked by the drag: arcs of the face with exactly one end in
+        # the gap between the swapped punctures.
         dragged = []
-        for ci, cj in self.chords(LOWER):
-            ends_in_gap = (self.word[ci] == gap) + (self.word[cj] == gap)
-            if ends_in_gap == 1:
+        for ci in range(face ^ self.side0, m, 2):
+            cj = ci + 1 if ci + 1 < m else 0
+            if (word[ci] == gap) != (word[cj] == gap):
                 dragged.append((ci, cj))
 
-        def separates(x, y):
-            xa, xb = keys[x[0]], keys[x[1]]
-            ya, yb = keys[y[0]], keys[y[1]]
-            side = _in_cyclic(a_key, xa, xb)
-            return _in_cyclic(ya, xa, xb) != side and _in_cyclic(yb, xa, xb) != side
+        if len(dragged) > 1:
+            keys = self.crossing_keys()
+            a_key = _puncture_key((s + 1) % n)
 
-        def cmp(x, y):
-            if separates(x, y):
-                return -1
-            if separates(y, x):
-                return 1
-            return 0
+            def separates(x, y):
+                xa, xb = keys[x[0]], keys[x[1]]
+                ya, yb = keys[y[0]], keys[y[1]]
+                side = _in_cyclic(a_key, xa, xb)
+                return (_in_cyclic(ya, xa, xb) != side
+                        and _in_cyclic(yb, xa, xb) != side)
 
-        # First chord met by the moving puncture wraps innermost.
-        dragged.sort(key=functools.cmp_to_key(cmp))
-        order = {ch: t for t, ch in enumerate(dragged)}
+            def cmp(x, y):
+                if separates(x, y):
+                    return -1
+                if separates(y, x):
+                    return 1
+                return 0
 
-        def relabel(seg: int, rank: int) -> tuple[int, int]:
-            if seg == gap:
-                return merged, rank
-            if seg == merged:
-                return merged, counts[gap] + rank
-            return seg, rank
+            # First chord met by the moving puncture wraps innermost.
+            dragged.sort(key=functools.cmp_to_key(cmp))
+        order = {ci: t for t, (ci, _) in enumerate(dragged)}
 
         total = len(dragged)
         new_word: list[int] = []
         new_ranks: list[int] = []
-        new_sides: list[int] = []
+        shift = counts[gap]
         for idx in range(m):
-            seg, rank = relabel(self.word[idx], self.ranks[idx])
-            new_word.append(seg)
-            new_ranks.append(rank)
-            nxt = (idx + 1) % m
-            side = self.arc_side(idx)
-            hooked = order.get((idx, nxt))
-            if hooked is None:
-                new_sides.append(side)
-                continue
-            # Replacement path: q -L- w_R -U- w_L -L- r, with q the gap end.
-            w_r = (gap, hooked)
-            w_l = (s, counts[s] + total - 1 - hooked)
-            if self.word[idx] == gap:
-                inserted = [w_r, w_l]
+            seg, rank = word[idx], ranks[idx]
+            if seg == gap:
+                new_word.append(merged)
+                new_ranks.append(rank)
+            elif seg == merged:
+                new_word.append(merged)
+                new_ranks.append(shift + rank)
             else:
-                inserted = [w_l, w_r]
-            new_sides.append(LOWER)
-            new_word.append(inserted[0][0])
-            new_ranks.append(inserted[0][1])
-            new_sides.append(UPPER)
-            new_word.append(inserted[1][0])
-            new_ranks.append(inserted[1][1])
-            new_sides.append(LOWER)
+                new_word.append(seg)
+                new_ranks.append(rank)
+            hooked = order.get(idx)
+            if hooked is None:
+                continue
+            # Replacement path: q -F- w_R -F'- w_L -F- r, with q the gap end
+            # and F' the other face.
+            w_l = counts[s] + total - 1 - hooked
+            if seg == gap:
+                new_word += (gap, s)
+                new_ranks += (hooked, w_l)
+            else:
+                new_word += (s, gap)
+                new_ranks += (w_l, hooked)
 
-        return Diagram(n, new_word, new_ranks, new_sides[0], _check=True)
+        # The arc after crossing 0 keeps its face: when it is hooked it lies
+        # in `face`, and so does the first arc of its replacement path.
+        return Diagram(n, new_word, new_ranks, self.side0, _check=True)
 
     def half_twist(self, i: int, sign: int) -> "Diagram":
         """Apply the half twist swapping punctures i and i+1.
@@ -354,12 +346,7 @@ class Diagram:
         """
         if sign not in (1, -1):
             raise DiagramError("sign must be +1 or -1")
-        if sign < 0:
-            return self.drag_below(i)
-        return self.drag_below_mirrored(i)
-
-    def drag_below_mirrored(self, i: int) -> "Diagram":
-        return self.mirror().drag_below(i).mirror()
+        return self.drag(i, LOWER if sign < 0 else UPPER)
 
     def apply_word(self, letters: Sequence[tuple[int, int]]) -> "Diagram":
         """Apply a twist word; the last letter acts first (composition order)."""
@@ -377,83 +364,162 @@ def round_diagram(n: int, i: int, j: int) -> Diagram:
     return Diagram(n, [ga, gb], [0, 0], UPPER)
 
 
-def _reduce(word: list[int], ranks: list[int], side0: int):
+def _places(n: int, word: Sequence[int], ranks: Sequence[int]):
+    """Place of each crossing on the circle (segment offset plus rank), or
+    None when the ranks of some segment are not exactly 0, 1, 2, ...
+
+    With all ranks non-negative, the places form a permutation of
+    0..m-1 exactly when the ranks are contiguous: the crossings of the
+    segments from s on must then fill the places from s's offset on.
+    """
+    offset = list(itertools.accumulate(map(word.count, range(n)), initial=0))
+    place = [offset[s] + r for s, r in zip(word, ranks)]
+    if place and (min(ranks) < 0 or sorted(place) != list(range(len(place)))):
+        return None
+    return place
+
+
+def _reduce(n: int, word: Sequence[int], ranks: Sequence[int], side0: int):
     """Remove empty bigons against the circle until none remain.
 
     A cancellable pair is two crossings adjacent along the curve, on the same
     segment, with no other crossing between them on that segment: the arc
-    between them cuts an empty bigon off the circle.  Entries carry the side
-    of the arc *after* each crossing; deleting the pair automatically merges
-    the three arcs into one with the surviving side.
+    between them cuts an empty bigon off the circle.  Reduced diagrams are
+    unique in their isotopy class, so the order of cancellations does not
+    matter.
+
+    Ranks are renumbered once, up front, into places on the circle.
+    Crossings then sit on two doubly linked cyclic lists, one along the curve
+    and one per segment in place order.  Cancelling a pair creates at most
+    two new candidate pairs: its two curve neighbours, and its two segment
+    neighbours, so a worklist finds every cancellation in linear time.  Each
+    crossing carries the side of the arc *after* it; deleting a pair merges
+    three arcs into one with the surviving side.  Returns contiguous ranks.
     """
-    entries = [[s, r, side0 ^ (i & 1)]
-               for i, (s, r) in enumerate(zip(word, ranks))]
-    while entries:
-        _renumber_entries(entries)
-        m = len(entries)
-        hit = None
-        for i in range(m):
-            j = (i + 1) % m
-            if entries[i][0] == entries[j][0] and \
-                    abs(entries[i][1] - entries[j][1]) == 1:
-                hit = i
-                break
-        if hit is None:
-            break
-        if m == 2:
-            return [], [], 0
-        if hit == m - 1:
-            entries = entries[1:] + entries[:1]
-            hit -= 1
-        del entries[hit:hit + 2]
-    if not entries:
+    m = len(word)
+    if m == 0:
         return [], [], 0
-    # entries[i][2] is the side of the arc from crossing i to i+1, so the
-    # surviving side0 is entries[0][2].
-    return [e[0] for e in entries], [e[1] for e in entries], entries[0][2]
+    place = _places(n, word, ranks)
+    if place is None:
+        order = sorted(range(m), key=lambda k: (word[k], ranks[k]))
+        place = [0] * m
+        for x, k in enumerate(order):
+            place[k] = x
+        ranks = _ranks_of(word, place)
+    # Crossings i-1 and i are cancellable when they share a segment and
+    # their places differ by one.
+    work = [i - 1 for i in range(m)
+            if word[i] == word[i - 1] and abs(place[i] - place[i - 1]) == 1]
+    if not work:
+        return word, ranks, side0
+    at = [0] * m
+    for k, x in enumerate(place):
+        at[x] = k
+    up = [-1] * m                  # next crossing on the segment
+    down = [-1] * m
+    for x in range(m - 1):
+        a, b = at[x], at[x + 1]
+        if word[a] == word[b]:
+            up[a] = b
+            down[b] = a
+    nxt = list(range(1, m)) + [0]  # along the curve
+    prv = [m - 1] + list(range(m - 1))
+    alive = [True] * m
+    left = m
+    while work:
+        x = work.pop() % m
+        y = nxt[x]
+        if not alive[x] or (up[x] != y and down[x] != y):
+            continue
+        if left == 2:
+            return [], [], 0
+        alive[x] = alive[y] = False
+        left -= 2
+        before, after = prv[x], nxt[y]
+        nxt[before] = after
+        prv[after] = before
+        lo, hi = (x, y) if up[x] == y else (y, x)
+        below, above = down[lo], up[hi]
+        if below >= 0:
+            up[below] = above
+        if above >= 0:
+            down[above] = below
+        work.append(before)
+        if below >= 0 and above >= 0:
+            work.append(below)
+            work.append(above)
+    start = alive.index(True)
+    survivors = []
+    x = start
+    while True:
+        survivors.append(x)
+        x = nxt[x]
+        if x == start:
+            break
+    out_word = [word[x] for x in survivors]
+    out_ranks = _ranks_of(out_word, [place[x] for x in survivors])
+    return out_word, out_ranks, side0 ^ (start & 1)
 
 
-def _renumber_entries(entries) -> None:
-    per_seg: dict[int, list[int]] = {}
-    for idx, e in enumerate(entries):
-        per_seg.setdefault(e[0], []).append(idx)
-    for s, idxs in per_seg.items():
-        for new_r, idx in enumerate(sorted(idxs, key=lambda k: entries[k][1])):
-            entries[idx][1] = new_r
+def _ranks_of(word: Sequence[int], place: Sequence[int]) -> list[int]:
+    """Contiguous per-segment ranks in the order of the given places."""
+    ranks = [0] * len(word)
+    seen: dict[int, int] = {}
+    for k in sorted(range(len(word)), key=place.__getitem__):
+        s = word[k]
+        ranks[k] = seen.get(s, 0)
+        seen[s] = ranks[k] + 1
+    return ranks
 
 
-def _renumber(word: list[int], ranks: list[int]):
-    """Make per-segment ranks contiguous 0..m-1 preserving order."""
-    per_seg: dict[int, list[int]] = {}
-    for idx, (s, r) in enumerate(zip(word, ranks)):
-        per_seg.setdefault(s, []).append(idx)
-    new_ranks = list(ranks)
-    for s, idxs in per_seg.items():
-        for new_r, idx in enumerate(sorted(idxs, key=lambda k: ranks[k])):
-            new_ranks[idx] = new_r
-    return word, new_ranks
+def _least_rotation(seq: list[int]) -> int:
+    """Start of the lexicographically least rotation of `seq`.
+
+    Booth's algorithm (K. S. Booth, Lexicographically least circular
+    substrings, Inform. Process. Lett. 10(4), 1980): a failure function over
+    the doubled sequence, linear time.
+    """
+    n = len(seq)
+    s = seq + seq
+    f = [-1] * (2 * n)
+    k = 0
+    for j in range(1, 2 * n):
+        sj = s[j]
+        i = f[j - k - 1]
+        while i != -1 and sj != s[k + i + 1]:
+            if sj < s[k + i + 1]:
+                k = j - i - 1
+            i = f[i]
+        if i == -1 and sj != s[k]:
+            if sj < s[k]:
+                k = j
+            f[j - k] = -1
+        else:
+            f[j - k] = i + 1
+    return k % n
 
 
 def _canonical_rotation(word: list[int], ranks: list[int], side0: int):
-    """Pick the lexicographically least rotation/reflection of the sequence."""
+    """Pick the lexicographically least rotation/reflection of the sequence.
+
+    Candidates compare by the side of their first arc, then by their
+    (segment, rank) sequence.  Sides alternate and the length is even, so
+    the least candidate starts with an upper arc: a rotation by an offset of
+    one parity in the given direction, or of the other parity in the
+    reflected one.  Coding each aligned pair of crossings as one integer
+    turns the search in each direction into one least-rotation problem.
+    """
     m = len(word)
     if m == 0:
         return word, ranks, 0
+    seq = [s * m + r for s, r in zip(word, ranks)]
+    width = max(seq) + 1
     best = None
-    seq = list(zip(word, ranks))
-    for direction in (1, -1):
-        if direction == 1:
-            base = seq
-            base_side = side0
-        else:
-            base = [seq[0]] + seq[:0:-1]
-            base_side = side0 ^ 1
-        for r in range(m):
-            rot = base[r:] + base[:r]
-            cand = (base_side ^ (r & 1), tuple(rot))
-            if best is None or cand < best:
-                best = cand
-    side, rot = best
-    word = [s for s, _ in rot]
-    ranks = [r for _, r in rot]
-    return word, ranks, side
+    for base, parity in ((seq, side0), ([seq[0]] + seq[:0:-1], side0 ^ 1)):
+        aligned = base[parity:] + base[:parity]
+        pairs = [aligned[k] * width + aligned[k + 1] for k in range(0, m, 2)]
+        start = parity + 2 * _least_rotation(pairs)
+        cand = base[start:] + base[:start]
+        if best is None or cand < best:
+            best = cand
+    return [c // m for c in best], [c % m for c in best], UPPER

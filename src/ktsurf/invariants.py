@@ -33,12 +33,12 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .curves import (Curve, PuncturedSphere, apply_half_twist,
-                     enclosed_punctures, format_curve, geometric_intersection,
-                     parse_curve, round_curve)
+from .curves import (Curve, PuncturedSphere, enclosed_punctures,
+                     format_curve, geometric_intersection, parse_curve,
+                     round_curve)
 from .pants import (DEFAULT_NODE_BUDGET, DEFAULT_TWIST_BUDGET, DistanceResult,
                     PantsDecomposition, distance_upper, format_pants,
-                    is_edge, parse_pants, validate_pants)
+                    interior_pool, is_edge, parse_pants, validate_pants)
 from .tangles import (BridgeSplitUnlink, CheckReport, EfficientPair,
                       ShadowTangle, check_edp_structure, check_parity,
                       efficient_defining_pairs, enumerate_efficient,
@@ -102,11 +102,6 @@ class KTCertificate:
 
 # -- searched certificates ------------------------------------------------------
 
-def _cross_result(a: PantsDecomposition, b: PantsDecomposition, kind: str,
-                  twist_budget: int, node_budget: int, pool) -> DistanceResult:
-    return pair_distance(a, b, kind, twist_budget, node_budget, pool)
-
-
 def _searched_kind(s: Spine, kind: str, twist_budget: int, node_budget: int,
                    pool=None, stop_at: int | None = None,
                    cap: int = 48) -> KindCertificate:
@@ -120,14 +115,14 @@ def _searched_kind(s: Spine, kind: str, twist_budget: int, node_budget: int,
             out.note = (f"no efficient defining pairs for unlink {i} "
                         f"within twist budget {twist_budget}")
             return out
-        found.sort(key=lambda e: (e.p_plus.key, e.p_minus.key))
+        found = sorted(found, key=lambda e: (e.p_plus.key, e.p_minus.key))
         edps[i] = found[:cap]
     cross_cache: dict = {}
 
     def cross(a, b):
         key = (a.key, b.key)
         if key not in cross_cache:
-            cross_cache[key] = _cross_result(a, b, kind, twist_budget,
+            cross_cache[key] = pair_distance(a, b, kind, twist_budget,
                                              node_budget, pool)
         return cross_cache[key]
 
@@ -166,34 +161,6 @@ def _searched_kind(s: Spine, kind: str, twist_budget: int, node_budget: int,
 # -- composed certificates -------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _interior_pool(n: int, twist_budget: int) -> tuple[Curve, ...]:
-    """Curves generated from non-wrapping rounds by twists never touching
-    the first or last puncture; safe to translate into a larger sphere."""
-    sphere = PuncturedSphere(n)
-    seen: dict = {}
-    frontier = []
-    for i in range(n - 1):
-        for j in range(i + 1, n - 1):
-            if 2 <= j - i + 1 <= n - 2:
-                c = round_curve(sphere, i, j)
-                if c.key not in seen:
-                    seen[c.key] = c
-                    frontier.append(c)
-    frontier.sort()
-    for _ in range(twist_budget):
-        nxt = []
-        for c in frontier:
-            for g in range(1, n - 2):
-                for sg in (1, -1):
-                    d = apply_half_twist(c, g, sg)
-                    if d.key not in seen:
-                        seen[d.key] = d
-                        nxt.append(d)
-        frontier = sorted(nxt)
-    return tuple(sorted(seen.values()))
-
-
-@lru_cache(maxsize=None)
 def _block_certificate(expr_text: str, kind: str, twist_budget: int,
                        node_budget: int) -> KindCertificate:
     """Standalone certificate of one distant summand, computed over the
@@ -210,7 +177,7 @@ def _block_certificate(expr_text: str, kind: str, twist_budget: int,
     target = kt_lower(block)[0]
     best = None
     for budget in range(twist_budget, max(twist_budget, 4) + 1):
-        pool = _interior_pool(block.n, budget)
+        pool = interior_pool(block.sphere, budget)
         cert = _searched_kind(block, kind, budget, node_budget, pool=pool,
                               stop_at=target)
         if cert.total is not None and (best is None or best.total is None
@@ -442,7 +409,7 @@ def _standard_torus_gammas() -> tuple[Curve, Curve, Curve]:
     out = []
     for i in (1, 2, 3):
         u = t.unlink(i)
-        found = [c for c in _interior_pool(6, 3)
+        found = [c for c in interior_pool(t.sphere, 3)
                  if len(enclosed_punctures(c)) == 3 and is_cut_reducing(c, u)]
         if not found:
             raise InvariantError(f"no torus cut-reducer for unlink {i}")
@@ -573,24 +540,26 @@ def parse_certificate(text: str) -> KTCertificate:
     lines = [ln.rstrip() for ln in text.splitlines()]
     if not lines or lines[0] != "kt-certificate":
         raise InvariantError("not a kt-certificate block")
-    k = 1
-    if lines[k].strip() != "spine {":
+    if len(lines) < 2 or lines[1].strip() != "spine {":
         raise InvariantError("missing spine block")
-    k += 1
-    spine_lines = []
-    while lines[k].strip() != "}":
-        spine_lines.append(lines[k].strip())
-        k += 1
-    spine = parse_spine("\n".join(spine_lines))
-    k += 1
-    budgets = lines[k].split()
-    twist = int(budgets[1].split("=")[1])
-    nodes = int(budgets[2].split("=")[1])
-    k += 1
-    lower_parts = lines[k].split()
-    lower = int(lower_parts[1])
-    justification = lower_parts[2].strip("()")
-    k += 1
+    k = next((k for k in range(2, len(lines)) if lines[k].strip() == "}"),
+             None)
+    if k is None:
+        raise InvariantError("truncated certificate: unterminated spine block")
+    spine = parse_spine("\n".join(ln.strip() for ln in lines[2:k]))
+    if len(lines) < k + 3:
+        raise InvariantError("truncated certificate: missing budgets or "
+                             "lower bound")
+    try:
+        budgets = lines[k + 1].split()
+        twist = int(budgets[1].split("=")[1])
+        nodes = int(budgets[2].split("=")[1])
+        lower_parts = lines[k + 2].split()
+        lower = int(lower_parts[1])
+        justification = lower_parts[2].strip("()")
+    except (IndexError, ValueError):
+        raise InvariantError("malformed budgets or lower-bound line") from None
+    k += 3
     kinds = {}
     sphere = spine.sphere
     current = None

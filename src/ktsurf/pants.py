@@ -12,12 +12,20 @@ of bounded length, and breadth-first search stops after a node budget.  A
 returned value is therefore an upper bound; it is exact when it matches an
 independent lower bound (the trivial one here is the number of curves of the
 target missing from the source, since each move replaces a single curve).
+
+Candidate curves live in a :class:`CurvePool`: a tuple of curves that also
+owns a ``key -> id`` index and, per curve that a search has asked
+about, bitmask rows over the pool ids (disjoint from it, meeting it exactly
+twice, meeting it at least twice).  Rows are filled lazily and only from
+:func:`~ktsurf.curves.geometric_intersection`, one call per pool curve a
+search actually asks about, so every number still comes from the diagram
+machinery.  A neighbour search is then a row read for the replaced curve
+followed by a disjointness filter against the rest of the decomposition.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -145,24 +153,105 @@ def is_edge(p: PantsDecomposition, q: PantsDecomposition, kind: str) -> bool:
     raise PantsError(f"unknown edge kind {kind!r}")
 
 
+class CurvePool(tuple):
+    """A tuple of curves with a ``key -> id`` index and lazy rows.
+
+    The id of a curve is its position in the tuple (the built pools are
+    sorted).  For any curve c, in the
+    pool or not, the pool keeps one row of bitmasks over the ids: the ids
+    whose intersection number with c is known, and among those the ones
+    disjoint from c, meeting it exactly twice, and meeting it at least
+    twice.  A row is extended only on demand, one
+    :func:`~ktsurf.curves.geometric_intersection` call per missing id.
+    Pools are built once per parameter set and compare like tuples; the
+    hash is computed once.  Building a pool from a pool returns it, rows
+    and all.
+    """
+
+    def __new__(cls, curves: Iterable[Curve]):
+        if isinstance(curves, CurvePool):
+            return curves
+        self = super().__new__(cls, curves)
+        self.ids = {c.key: k for k, c in enumerate(self)}
+        self._rows: dict = {}
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def mask(self, curves: Iterable[Curve]) -> int:
+        """Bitmask of the pool ids of those curves that are in the pool."""
+        out = 0
+        for c in curves:
+            k = self.ids.get(c.key)
+            if k is not None:
+                out |= 1 << k
+        return out
+
+    def _row(self, c: Curve, among: int) -> list[int]:
+        """Row of c, [known, disjoint, twice, at least twice], known at
+        least on the ids of `among`."""
+        row = self._rows.get(c.key)
+        if row is None:
+            row = self._rows[c.key] = [0, 0, 0, 0]
+        todo = among & ~row[0]
+        if todo:
+            known, zero, two, many = row
+            for k in _ids_of(todo):
+                i = geometric_intersection(self[k], c)
+                bit = 1 << k
+                if i == 0:
+                    zero |= bit
+                elif i >= 2:
+                    many |= bit
+                    if i == 2:
+                        two |= bit
+            row[:] = known | todo, zero, two, many
+        return row
+
+    def _meeting(self, c: Curve, kind: str) -> int:
+        """Ids of the curves meeting c twice (pants) or at least twice
+        (dual)."""
+        row = self._row(c, (1 << len(self)) - 1)
+        return row[2] if kind == "pants" else row[3]
+
+    def _disjoint(self, c: Curve, among: int) -> int:
+        """Those ids of `among` whose curves miss c."""
+        return among & self._row(c, among)[1]
+
+
+def _ids_of(mask: int):
+    """Set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @lru_cache(maxsize=None)
-def _curve_pool_cached(n: int, twist_budget: int) -> tuple[Curve, ...]:
+def _build_pool(n: int, twist_budget: int, generators: tuple[int, ...],
+                rounds: tuple[tuple[int, int], ...]) -> CurvePool:
+    """Images of the round curves around the given intervals under twist
+    words of length at most `twist_budget` in the given generators.
+
+    Words grow one letter per level, each level's new curves in sorted
+    order, and the first word reaching a class is the one kept, so the
+    recipes printed in certificates depend only on the parameters.
+    """
     sphere = PuncturedSphere(n)
     seen: dict = {}
     frontier: list[Curve] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            size = j - i + 1
-            if 2 <= size <= n - 2:
-                c = round_curve(sphere, i, j)
-                if c.key not in seen:
-                    seen[c.key] = c
-                    frontier.append(c)
+    for i, j in rounds:
+        c = round_curve(sphere, i, j)
+        if c.key not in seen:
+            seen[c.key] = c
+            frontier.append(c)
     frontier.sort()
     for _ in range(twist_budget):
         nxt = []
         for c in frontier:
-            for g in range(n - 1):
+            for g in generators:
                 for s in (1, -1):
                     d = apply_half_twist(c, g, s)
                     if d.key not in seen:
@@ -170,14 +259,32 @@ def _curve_pool_cached(n: int, twist_budget: int) -> tuple[Curve, ...]:
                         nxt.append(d)
         nxt.sort()
         frontier = nxt
-    return tuple(sorted(seen.values()))
+    return CurvePool(sorted(seen.values()))
+
+
+def _rounds(n: int, last: int) -> tuple[tuple[int, int], ...]:
+    """Essential round intervals i..j with j <= last."""
+    return tuple((i, j) for i in range(n) for j in range(i + 1, last + 1)
+                 if 2 <= j - i + 1 <= n - 2)
 
 
 def curve_pool(sphere: PuncturedSphere, twist_budget: int = DEFAULT_TWIST_BUDGET
-               ) -> tuple[Curve, ...]:
+               ) -> CurvePool:
     """All curves reachable from round curves by at most `twist_budget`
     half twists, one representative per isotopy class, sorted."""
-    return _curve_pool_cached(sphere.n, twist_budget)
+    n = sphere.n
+    return _build_pool(n, twist_budget, tuple(range(n - 1)),
+                       _rounds(n, n - 1))
+
+
+def interior_pool(sphere: PuncturedSphere,
+                  twist_budget: int = DEFAULT_TWIST_BUDGET) -> CurvePool:
+    """Curves generated from rounds missing the last puncture by twists
+    never touching the first or last puncture; safe to translate into a
+    larger sphere."""
+    n = sphere.n
+    return _build_pool(n, twist_budget, tuple(range(1, n - 2)),
+                       _rounds(n, n - 2))
 
 
 def neighbor_candidates(p: PantsDecomposition, index: int,
@@ -189,26 +296,30 @@ def neighbor_candidates(p: PantsDecomposition, index: int,
 
     Candidates come from the bounded twist-word pool (plus any `extra`
     curves); results are deduplicated and sorted for deterministic search.
-    An explicit `pool` replaces the default twist-word pool.
+    An explicit `pool` replaces the default twist-word pool.  Pool curves
+    are read off the pool's rows: those meeting the replaced curve twice
+    (at least twice for the dual kind), then those missing each remaining
+    curve in turn.
     """
-    old = p.curves[index]
-    rest = [c for k, c in enumerate(p.curves) if k != index]
-    rest_keys = {c.key for c in rest}
-    out = {}
     if pool is None:
         pool = curve_pool(p.sphere, twist_budget)
-    for cand in itertools.chain(pool, extra):
-        if cand.key == old.key or cand.key in rest_keys:
+    pool = CurvePool(pool)
+    old = p.curves[index]
+    rest = [c for k, c in enumerate(p.curves) if k != index]
+    found = pool._meeting(old, kind) & ~pool.mask(p.curves)
+    for c in rest:
+        found = pool._disjoint(c, found)
+    keys = {c.key for c in p.curves}
+    cands = [pool[k] for k in _ids_of(found)]
+    for cand in extra:
+        if cand.key in keys or cand.key in pool.ids:
             continue
         i_old = geometric_intersection(cand, old)
-        if kind == "pants":
-            if i_old != 2:
-                continue
-        else:
-            if i_old < 2:
-                continue
-        if any(geometric_intersection(cand, c) != 0 for c in rest):
-            continue
+        if i_old == 2 or (kind != "pants" and i_old > 2):
+            if all(geometric_intersection(cand, c) == 0 for c in rest):
+                cands.append(cand)
+    out = {}
+    for cand in cands:
         q = PantsDecomposition(p.sphere, rest + [cand], _validated=True)
         out[q.key] = q
     return sorted(out.values())
@@ -377,12 +488,6 @@ def _distance_four(p: PantsDecomposition, q: PantsDecomposition, kind: str,
     res.value = len(path) - 1
     res.path = path
     return res
-
-
-def _gcd(x: int, y: int) -> int:
-    while y:
-        x, y = y, x % y
-    return x
 
 
 # -- text syntax --------------------------------------------------------------

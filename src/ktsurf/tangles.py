@@ -22,6 +22,12 @@ Enumeration is budget-bounded: candidate curves carry twist words of bounded
 length, so minima are certified only when a matching lower bound holds (each
 elementary move changes one curve, so a pair sharing k curves has distance at
 least (n-3) - k).
+
+Pairs are scored on the pool index of :mod:`ktsurf.pants`: a decomposition
+is the bitmask of its curves' pool ids, so the shared count of a pair is the
+popcount of an AND.  The pool's intersection rows are derived only from
+``geometric_intersection``.  Defining pairs are memoized per (upper arcs,
+lower arcs, kind, budgets, pool); callers receive a fresh list each time.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .curves import (ArcSystem, Curve, CurveError, PuncturedSphere,
                      arc_intersection, enclosed_punctures, format_arcs,
                      format_curve, geometric_intersection, parse_arcs)
 from .pants import (DEFAULT_NODE_BUDGET, DEFAULT_TWIST_BUDGET, DistanceResult,
-                    PantsDecomposition, curve_pool, distance_upper,
+                    CurvePool, PantsDecomposition, curve_pool, distance_upper,
                     validate_pants)
 
 
@@ -316,34 +322,53 @@ def efficient_defining_pairs(u: BridgeSplitUnlink, kind: str = "pants",
                              ) -> list[EfficientPair]:
     """Pairs minimising the (budgeted) distance over efficient products.
 
-    Pairs are scanned in order of the trivial lower bound; once some pair
-    realises a value, pairs whose lower bound already exceeds it cannot do
-    better and are skipped.
+    Pairs are scanned in order of the trivial lower bound, ties broken by
+    the keys of the two decompositions; once some pair realises a value,
+    pairs whose lower bound already exceeds it cannot do better and are
+    skipped.  Results are memoized; the returned list is the caller's own.
     """
-    ups = enumerate_efficient(u.upper, twist_budget, pool)
-    downs = enumerate_efficient(u.lower, twist_budget, pool)
+    return list(_efficient_defining_pairs_cached(
+        u.upper.arcs, u.lower.arcs, kind, twist_budget, node_budget, pool))
+
+
+@lru_cache(maxsize=None)
+def _efficient_defining_pairs_cached(upper: ArcSystem, lower: ArcSystem,
+                                     kind: str, twist_budget: int,
+                                     node_budget: int,
+                                     pool: tuple[Curve, ...] | None
+                                     ) -> tuple[EfficientPair, ...]:
+    ups = enumerate_efficient(ShadowTangle(upper), twist_budget, pool)
+    downs = enumerate_efficient(ShadowTangle(lower), twist_budget, pool)
     if not ups or not downs:
-        return []
-    scored = []
-    for p in ups:
-        for q in downs:
-            lower = (u.n - 3) - len(p.shared_with(q))
-            scored.append((lower, p, q))
-    scored.sort(key=lambda t: (t[0], t[1].key, t[2].key))
+        return ()
+    index = CurvePool(curve_pool(upper.sphere, twist_budget)
+                      if pool is None else pool)
+    want = upper.n - 3
+    # buckets[lower] lists the pairs with that trivial lower bound; ups and
+    # downs are sorted by key, so filling in row order keeps each bucket in
+    # (p.key, q.key) order.
+    buckets: list[list[tuple[int, int]]] = [[] for _ in range(want + 1)]
+    down_masks = [index.mask(q.curves) for q in downs]
+    for a, p in enumerate(ups):
+        mp = index.mask(p.curves)
+        for b, mq in enumerate(down_masks):
+            buckets[want - (mp & mq).bit_count()].append((a, b))
     best = None
     found: list[EfficientPair] = []
-    for lower, p, q in scored:
+    for lower, bucket in enumerate(buckets):
         if best is not None and lower > best:
             break
-        r = pair_distance(p, q, kind, twist_budget, node_budget, pool)
-        if r.value is None:
-            continue
-        if best is None or r.value < best:
-            best = r.value
-            found = [EfficientPair(p, q, kind, r)]
-        elif r.value == best:
-            found.append(EfficientPair(p, q, kind, r))
-    return found
+        for a, b in bucket:
+            p, q = ups[a], downs[b]
+            r = pair_distance(p, q, kind, twist_budget, node_budget, pool)
+            if r.value is None:
+                continue
+            if best is None or r.value < best:
+                best = r.value
+                found = [EfficientPair(p, q, kind, r)]
+            elif r.value == best:
+                found.append(EfficientPair(p, q, kind, r))
+    return tuple(found)
 
 
 # -- structure checks -----------------------------------------------------------

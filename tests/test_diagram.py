@@ -117,6 +117,31 @@ def test_mirror_involution():
         assert d.mirror().mirror() == d
 
 
+def test_embedded_check_rejects_crossing_face_chords():
+    # Upper chords 0->1 and 2->3 join S_0 to S_2 and S_1 to S_3: interleaved.
+    with pytest.raises(DiagramError, match="cross"):
+        Diagram(6, [0, 2, 1, 3], [0, 0, 0, 0], 0, _check=True)
+    # The same data are accepted without the check.
+    assert len(Diagram(6, [0, 2, 1, 3], [0, 0, 0, 0], 0)) == 4
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_canonical_form_ignores_rotation_and_reflection(data):
+    n = data.draw(st.sampled_from([4, 5, 6, 8]))
+    d = _curve_from_draw(data, n)
+    word, ranks, m = list(d.word), list(d.ranks), len(d)
+    r = data.draw(st.integers(0, max(m - 1, 0)))
+    rotated = Diagram(n, word[r:] + word[:r], ranks[r:] + ranks[:r],
+                      d.side0 ^ (r & 1))
+    assert rotated == d and rotated.key == d.key
+    if m:
+        # Read backwards, the arc after crossing 0 is the one before it.
+        reflected = Diagram(n, word[:1] + word[:0:-1], ranks[:1] + ranks[:0:-1],
+                            d.side0 ^ 1)
+        assert reflected == d and reflected.key == d.key
+
+
 def test_embedded_check_passes_for_generated():
     rng = random.Random(13)
     for n in (4, 6, 8):

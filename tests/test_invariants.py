@@ -1,5 +1,7 @@
 """Invariant machinery: certificates, composition, torus witnesses."""
 
+import hashlib
+
 import pytest
 
 from ktsurf.curves import enclosed_punctures
@@ -124,3 +126,42 @@ def test_dual_not_above_pants():
     for expr in ("P+", "K20", "T", "T + P+"):
         cert = kt_bounds(spine_of_expression(expr))
         assert cert.lstar_upper <= cert.l_upper
+
+
+# sha256 of format_certificate(kt_bounds(...)) for the seven atoms, one
+# distant sum per searched-atom stratum, and a connected sum beyond the
+# search ceiling.  Certificates are deterministic, so these pin the search,
+# the composition and the printer byte for byte.
+GOLDEN_CERTIFICATES = {
+    "U": "867526c1bdc09a8bac1541d7e7df8f51c250eec7e48a0848ece9dbba8995d5d8",
+    "P+": "802b60c219653b613d5d708a03fcd683584489e70e55090e8753043505bf2a3c",
+    "P-": "a0bc1e06c1c05dbddd9bea8113e562d4b46026b25004ffcb4d8593536b9dead3",
+    "K20": "46ccb980fc248b00a4d74ea71f8b508e5973096777604fc7e639fc7b15d496ec",
+    "K11": "81e2b63ed8e9775a6d673911ef0ae642dca35bfe4095ba24be014ac74011f02e",
+    "K02": "211a9400e11b2907558fe63faf6674ae886f1fc8e8a4a8a05a4bd40880de25dd",
+    "T": "2600856c6afaf4b30661d534c00638455c199355ef948091bf28552c8dcce03b",
+    "P+ + P+ + P- + T":
+        "11883a8bf3dd14a5d7b0d6dbc6944ea6f2f80504ee0fd7e3b356ac5398a8472b",
+    "K11 + T + U":
+        "6516273140cce1011be3381f4a88ec530b8952fa097debbf5b79d3378b8acd5b",
+    "K02 + K20":
+        "983e0e4ae921ccaa09e789e9d4f7f4768b42b8cb859115b2673e80c41705ec7a",
+    "P+ + P+ + P+ + P-":
+        "cbe2ff08fe8bb6b6c4f2b081571a8e59a203875df1b55988972011b1b35d6d23",
+    "T # T": "9cbcfb9de4fb4d7976c767f97d3263c45e9d1d7295eb1bcae3c1631f02e4085b",
+}
+
+
+@pytest.mark.parametrize("expr", sorted(GOLDEN_CERTIFICATES))
+def test_certificate_bytes_are_golden(expr):
+    text = format_certificate(kt_bounds(spine_of_expression(expr)))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        GOLDEN_CERTIFICATES[expr]
+
+
+@pytest.mark.parametrize("keep", [1, 2, 3, 5, 8, 9])
+def test_truncated_certificate_is_an_invariant_error(keep):
+    text = format_certificate(kt_bounds(standard("P+")))
+    head = "\n".join(text.splitlines()[:keep]) + "\n"
+    with pytest.raises(InvariantError):
+        parse_certificate(head)

@@ -1,23 +1,26 @@
 """Pants complex layer and the Farey oracle for the 4-punctured sphere."""
 
+import hashlib
 import itertools
 import math
 import random
 
 import pytest
 
-from ktsurf.curves import (PuncturedSphere, apply_half_twist,
-                           geometric_intersection, round_curve)
+from ktsurf.curves import (PuncturedSphere, apply_half_twist, apply_word,
+                           format_curve, geometric_intersection, round_curve)
 from ktsurf.farey import (curve_of_slope, farey_distance, farey_distance_bfs,
                           farey_distance_slopes, is_farey_edge,
                           normalize_slope, slope_of_curve)
-from ktsurf.pants import (DistanceResult, PantsError, PantsDecomposition,
-                          distance_upper, format_pants, is_dual_edge,
+from ktsurf.pants import (CurvePool, DistanceResult, PantsError,
+                          PantsDecomposition, curve_pool, distance_upper,
+                          format_pants, interior_pool, is_dual_edge,
                           is_pants_edge, neighbor_candidates, parse_pants,
                           validate_pants)
 
 S4 = PuncturedSphere(4)
 S6 = PuncturedSphere(6)
+S8 = PuncturedSphere(8)
 
 
 def small_slopes(max_den):
@@ -113,6 +116,86 @@ def test_neighbor_candidates():
     assert set(nbrs0) <= set(nbrs1) <= set(nbrs2)
     for q in nbrs1:
         assert is_pants_edge(p, q)
+
+
+def test_pool_builder_keeps_curve_order():
+    # Sizes and printed recipes of the pools as built before the two pool
+    # builders were folded into one.
+    cases = [
+        (curve_pool(S8, 3), 1408,
+         "be6fd66990dba194be15f62208d9aa18f406805a962591ebd9ea6f36414570e1"),
+        (interior_pool(S6, 3), 193,
+         "f0bd18977ebc43705e08031e266af161957cbb06ec9e0ebca099784ed76b3a99"),
+        (interior_pool(S6, 4), 573,
+         "6f726d4b13dfdd2c5870879c6873f3e702b0201e1044d55be835edb72880fb8e"),
+    ]
+    for pool, size, digest in cases:
+        assert isinstance(pool, CurvePool) and len(pool) == size
+        assert list(pool) == sorted(pool)
+        text = "\n".join(format_curve(c) for c in pool)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert all(pool.ids[c.key] == k for k, c in enumerate(pool))
+    assert curve_pool(S8, 3) is curve_pool(S8, 3)
+
+
+def _scan_candidates(p, index, pool, kind, extra):
+    """Reference: test every pool and extra curve against the decomposition
+    with geometric_intersection, one candidate at a time."""
+    old = p.curves[index]
+    rest = [c for k, c in enumerate(p.curves) if k != index]
+    skip = {c.key for c in p.curves}
+    out = {}
+    for cand in itertools.chain(pool, extra):
+        if cand.key in skip:
+            continue
+        i_old = geometric_intersection(cand, old)
+        if (i_old != 2) if kind == "pants" else (i_old < 2):
+            continue
+        if any(geometric_intersection(cand, c) != 0 for c in rest):
+            continue
+        q = PantsDecomposition(p.sphere, rest + [cand], _validated=True)
+        out[q.key] = q
+    return sorted(out.values())
+
+
+def _random_decomposition(rng, sphere, pool, steps):
+    """Nested rounds moved by a random twist word, then a random walk."""
+    n = sphere.n
+    word = [(rng.randrange(n - 1), rng.choice((1, -1))) for _ in range(2)]
+    p = validate_pants(sphere, [apply_word(round_curve(sphere, 0, k), word)
+                                for k in range(1, n - 2)])
+    for _ in range(steps):
+        nbrs = _scan_candidates(p, rng.randrange(n - 3), pool, "dual", ())
+        if nbrs:
+            p = rng.choice(nbrs)
+    return p
+
+
+@pytest.mark.parametrize("sphere,count", [(S6, 3), (S8, 2)])
+def test_indexed_neighbors_match_scan(sphere, count):
+    rng = random.Random(41 + sphere.n)
+    big = curve_pool(sphere, 3)
+    for _ in range(count):
+        p = _random_decomposition(rng, sphere, big, steps=2)
+        other = _random_decomposition(rng, sphere, big, steps=1)
+        # Extra curves as distance_upper passes them, plus neighbours from
+        # the larger pool, which the smaller pool lacks.
+        near = {c for q in _scan_candidates(p, 0, big, "dual", ())
+                for c in q.curves}
+        extra = tuple(sorted(set(p.curves) | set(other.curves) | near))
+        for budget in (1, 3):
+            pool = curve_pool(sphere, budget)
+            assert budget == 3 or any(c.key not in pool.ids for c in extra)
+            for ex in ((), extra):
+                for kind in ("pants", "dual"):
+                    for index in range(len(p)):
+                        want = _scan_candidates(p, index, pool, kind, ex)
+                        got = neighbor_candidates(p, index, budget, kind, ex)
+                        assert got == want
+                        assert [q.key for q in got] == [q.key for q in want]
+                        for explicit in (CurvePool(tuple(pool)), tuple(pool)):
+                            assert neighbor_candidates(
+                                p, index, budget, kind, ex, explicit) == want
 
 
 def test_distance_zero_and_one():

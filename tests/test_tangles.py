@@ -6,13 +6,15 @@ import pytest
 
 from ktsurf.curves import (ArcSystem, PuncturedSphere, apply_half_twist,
                            enclosed_punctures, parse_word, round_curve)
-from ktsurf.pants import validate_pants
+from ktsurf.pants import interior_pool, validate_pants
 from ktsurf.tangles import (BridgeSplitUnlink, ShadowTangle, TangleError,
                             check_edp_structure, check_parity,
                             component_count, efficient_defining_pairs,
                             enumerate_efficient, format_unlink, is_c_reducing,
                             is_compressing, is_cut, is_cut_reducing,
-                            is_efficient, is_reducing, parse_unlink)
+                            is_efficient, is_reducing, pair_distance,
+                            parse_unlink)
+from ktsurf.trisection import spine_of_expression, standard
 
 S4 = PuncturedSphere(4)
 S6 = PuncturedSphere(6)
@@ -137,6 +139,55 @@ def test_efficient_defining_pair_two_component_unlink():
     assert pairs[0].p_plus == pairs[0].p_minus
     rep = check_edp_structure(pairs[0], u)
     assert rep.ok, rep.failures
+
+
+def _sorted_triples_pairs(u, kind, twist_budget, pool=None):
+    """Reference: score every pair with shared_with, sort all the triples,
+    then scan them in order."""
+    ups = enumerate_efficient(u.upper, twist_budget, pool)
+    downs = enumerate_efficient(u.lower, twist_budget, pool)
+    scored = [((u.n - 3) - len(p.shared_with(q)), p, q)
+              for p in ups for q in downs]
+    scored.sort(key=lambda t: (t[0], t[1].key, t[2].key))
+    best, found = None, []
+    for lower, p, q in scored:
+        if best is not None and lower > best:
+            break
+        r = pair_distance(p, q, kind, twist_budget, 10 ** 6, pool)
+        if r.value is None:
+            continue
+        if best is None or r.value < best:
+            best, found = r.value, [(p, q, r.value)]
+        elif r.value == best:
+            found.append((p, q, r.value))
+    return found
+
+
+@pytest.mark.parametrize("name,budget,interior", [
+    ("P+", 2, False), ("T", 2, False), ("K11", 2, False), ("T", 3, True),
+    ("P+ + P-", 2, False)])
+def test_defining_pairs_match_sorted_reference(name, budget, interior):
+    spine = spine_of_expression(name)
+    pool = interior_pool(spine.sphere, budget) if interior else None
+    for i in (1, 2, 3):
+        u = spine.unlink(i)
+        for kind in ("pants", "dual"):
+            got = efficient_defining_pairs(u, kind, budget, pool=pool)
+            want = _sorted_triples_pairs(u, kind, budget, pool)
+            assert got
+            assert [(e.p_plus, e.p_minus, e.realized_distance) for e in got] \
+                == want
+
+
+def test_defining_pairs_result_is_the_callers_own():
+    u = standard("T").unlink(2)
+    first = efficient_defining_pairs(u, "pants", 2)
+    snapshot = list(first)
+    first.reverse()
+    first.append(first[0])
+    first.sort(key=lambda e: e.p_minus.key)
+    again = efficient_defining_pairs(u, "pants", 2)
+    assert again == snapshot and again is not first
 
 
 def test_edp_structure_negative_control():
