@@ -13,16 +13,15 @@ import sys
 import time
 
 from ktsurf.invariants import kt_bounds, verify_certificate
-from ktsurf.trisection import spine_of_expression
-
-BRIDGES = {"U": 2, "P+": 2, "P-": 2, "K20": 3, "K11": 3, "K02": 3, "T": 3}
+from ktsurf.trisection import ATOMS, spine_of_expression, standard
 
 
 def expressions(max_bridge, max_tori):
-    atoms = sorted(BRIDGES)
+    bridges = {a: standard(a).b for a in ATOMS}
+    atoms = sorted(bridges)
     for size in range(2, max_bridge // 2 + 1):
         for combo in itertools.combinations_with_replacement(atoms, size):
-            b = sum(BRIDGES[a] for a in combo)
+            b = sum(bridges[a] for a in combo)
             tori = sum(a == "T" for a in combo)
             if b <= max_bridge and tori <= max_tori:
                 yield " + ".join(combo)

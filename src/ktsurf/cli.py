@@ -39,7 +39,6 @@ class RunConfig:
     node_budget: int = DEFAULT_NODE_BUDGET
     bridge_cap: int = 4
     fmt: str = "text"
-    seed: int = 0
 
     def __post_init__(self):
         if self.twist_budget < 0 or self.node_budget <= 0 or self.bridge_cap <= 0:
@@ -59,14 +58,12 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bridge-cap", type=int,
                    default=_env_int("KT_BRIDGE_CAP", 4))
     p.add_argument("--format", choices=("text", "structured"), default="text")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _config(args) -> RunConfig:
     return RunConfig(twist_budget=args.twist_budget,
                      node_budget=args.node_budget,
-                     bridge_cap=args.bridge_cap, fmt=args.format,
-                     seed=args.seed)
+                     bridge_cap=args.bridge_cap, fmt=args.format)
 
 
 def _load_spine(args) -> Spine:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .diagram import Diagram, DiagramError, round_diagram, _puncture_key, _chords_cross
+from .diagram import Diagram, round_diagram, _puncture_key, _chords_cross
 
 Letter = tuple[int, int]
 Word = tuple[Letter, ...]
@@ -128,9 +128,6 @@ class Curve:
     @property
     def key(self):
         return self.diagram.key
-
-    def complexity(self) -> int:
-        return len(self.diagram)
 
 
 def round_curve(sphere: PuncturedSphere, i: int, j: int) -> Curve:

@@ -113,9 +113,6 @@ class Diagram:
     def key(self):
         return self._key
 
-    def is_empty(self) -> bool:
-        return not self.word
-
     def arc_side(self, i: int) -> int:
         """Face of the arc from crossing i to crossing i+1 (cyclically)."""
         return self.side0 ^ (i & 1)

@@ -15,7 +15,6 @@ punctures 1, 2 applied to slope 0/1 gives slope 1/1.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .curves import (Curve, CurveError, PuncturedSphere, apply_half_twist,

@@ -19,6 +19,9 @@ Upper bounds come from two routes:
     block boundaries are compressing or cut for every tangle, so block
     certificates embed side by side and cross paths concatenate.
 
+Blocks sit where `SurfaceExpr.blocks` in :mod:`ktsurf.trisection` puts them;
+the composed certificates and the torus witnesses both read that layout.
+
 Lower bounds are certificates by construction: each torus summand plants a
 cut-reducing curve enclosing three of its punctures inside the shared part
 of every efficient defining pair, and such a curve must move along every
@@ -33,19 +36,15 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .curves import (Curve, PuncturedSphere, enclosed_punctures,
-                     format_curve, geometric_intersection, parse_curve,
-                     round_curve)
+from .curves import Curve, PuncturedSphere, enclosed_punctures, round_curve
 from .pants import (DEFAULT_NODE_BUDGET, DEFAULT_TWIST_BUDGET, DistanceResult,
-                    PantsDecomposition, distance_upper, format_pants,
-                    interior_pool, is_edge, parse_pants, validate_pants)
-from .tangles import (BridgeSplitUnlink, CheckReport, EfficientPair,
-                      ShadowTangle, check_edp_structure, check_parity,
-                      efficient_defining_pairs, enumerate_efficient,
-                      is_c_reducing, is_compressing, is_cut, is_cut_reducing,
-                      is_efficient, is_reducing, pair_distance)
-from .trisection import (Spine, SurfaceExpr, parse_expression, parse_spine,
-                         format_spine, spine_of_expression, standard)
+                    PantsDecomposition, format_pants, interior_pool,
+                    parse_pants, validate_pants)
+from .tangles import (CheckReport, EfficientPair, efficient_defining_pairs,
+                      enumerate_efficient, is_cut_reducing, is_efficient,
+                      pair_distance)
+from .trisection import (Spine, parse_spine, format_spine,
+                         spine_of_expression, standard)
 
 MAX_SEARCH_PUNCTURES = 8
 
@@ -95,9 +94,6 @@ class KTCertificate:
     def exact(self) -> bool:
         return (self.l_upper is not None and self.lstar_upper is not None
                 and self.l_upper == self.lstar_upper == self.lower)
-
-    def verify(self) -> CheckReport:
-        return verify_certificate(self)
 
 
 # -- searched certificates ------------------------------------------------------
@@ -207,14 +203,6 @@ def _embed_curve(c: Curve, offset: int, sphere: PuncturedSphere) -> Curve:
     return Curve(sphere, word, base)
 
 
-def _embed_decomposition(p: PantsDecomposition, offset: int,
-                         sphere: PuncturedSphere,
-                         shared_extra: tuple[Curve, ...]) -> PantsDecomposition:
-    curves = list(shared_extra)
-    curves.extend(_embed_curve(c, offset, sphere) for c in p.curves)
-    return PantsDecomposition(sphere, curves, _validated=True)
-
-
 def _junction_curves(sphere: PuncturedSphere, offsets: list[int]) -> list[Curve]:
     """Three shared curves per junction: everything-before minus the last
     prior puncture, everything-before, and everything-before plus the next
@@ -230,22 +218,17 @@ def _junction_curves(sphere: PuncturedSphere, offsets: list[int]) -> list[Curve]
 def _composed_kind(s: Spine, kind: str, twist_budget: int,
                    node_budget: int) -> KindCertificate:
     """Certificate for a distant sum assembled from block certificates."""
-    parts = s.meta.distant_parts()
-    blocks = [spine_of_expression(str(p)) for p in parts]
-    certs = [_block_certificate(str(p), kind, twist_budget, node_budget)
-             for p in parts]
+    layout = s.meta.blocks()
+    certs = [_block_certificate(str(part), kind, twist_budget, node_budget)
+             for part, _ in layout]
+    offsets = [block.start for _, block in layout]
+    blocks = range(len(layout))
     sphere = s.sphere
-    offsets = []
-    cum = 0
-    for blk in blocks:
-        offsets.append(cum)
-        cum += blk.n
-    junction = _junction_curves(sphere, offsets)
-    base = tuple(junction)
+    base = tuple(_junction_curves(sphere, offsets))
 
     def assemble(side_of_block):
         curves = list(base)
-        for l, blk in enumerate(blocks):
+        for l in blocks:
             curves.extend(_embed_curve(c, offsets[l], sphere)
                           for c in side_of_block(l).curves)
         return PantsDecomposition(sphere, curves)
@@ -255,7 +238,7 @@ def _composed_kind(s: Spine, kind: str, twist_budget: int,
         other blocks hold their current decompositions."""
         state = [[_embed_curve(c, offsets[l], sphere)
                   for c in block_paths[l][0].curves]
-                 for l in range(len(blocks))]
+                 for l in blocks]
 
         def snapshot():
             curves = list(base)
@@ -264,7 +247,7 @@ def _composed_kind(s: Spine, kind: str, twist_budget: int,
             return PantsDecomposition(sphere, curves, _validated=True)
 
         path = [snapshot()]
-        for l in range(len(blocks)):
+        for l in blocks:
             for vertex in block_paths[l][1:]:
                 state[l] = [_embed_curve(c, offsets[l], sphere)
                             for c in vertex.curves]
@@ -277,15 +260,11 @@ def _composed_kind(s: Spine, kind: str, twist_budget: int,
         plus = assemble(lambda l: certs[l].pairs[i].p_plus)
         minus = assemble(lambda l: certs[l].pairs[i].p_minus)
         path = compose_path([certs[l].pairs[i].realized.path
-                             for l in range(len(blocks))])
+                             for l in blocks])
         if path[0] != plus or path[-1] != minus:
             raise InvariantError(
                 f"composed within path for unlink {i} misses its endpoints")
-        shared = plus.shared_with(minus)
-        res = DistanceResult(kind=kind, value=len(path) - 1, path=path,
-                             trivial_lower=(s.n - 3) - len(shared),
-                             twist_budget=twist_budget,
-                             node_budget=node_budget)
+        res = DistanceResult(kind=kind, value=len(path) - 1, path=path)
         pairs[i] = EfficientPair(plus, minus, kind, res)
     cross = {}
     total = 0
@@ -293,15 +272,11 @@ def _composed_kind(s: Spine, kind: str, twist_budget: int,
         start = pairs[i].p_plus
         goal = pairs[j].p_minus
         path = compose_path([certs[l].cross[label].path
-                             for l in range(len(blocks))])
+                             for l in blocks])
         if path[0] != start or path[-1] != goal:
             raise InvariantError(
                 f"composed cross path for tangle {label} misses its target")
-        res = DistanceResult(kind=kind, value=len(path) - 1, path=path,
-                             trivial_lower=(s.n - 3)
-                             - len(start.shared_with(goal)),
-                             twist_budget=twist_budget,
-                             node_budget=node_budget)
+        res = DistanceResult(kind=kind, value=len(path) - 1, path=path)
         cross[label] = res
         total += res.value
     out.pairs = pairs
@@ -428,27 +403,24 @@ def find_torus_cut_reducers(s: Spine) -> dict[tuple[int, int], Curve]:
         raise InvariantError("metadata-missing: opaque spines carry no "
                              "certified torus structure")
     out: dict[tuple[int, int], Curve] = {}
-    parts = s.meta.distant_parts()
     gammas = _standard_torus_gammas()
-    cum = 0
-    for l, part in enumerate(parts):
-        blk = spine_of_expression(str(part))
-        if part.op == "atom" and part.name == "T":
-            for i in (1, 2, 3):
-                g = gammas[i - 1]
-                shifted = Curve(s.sphere,
-                                tuple((gen + cum, sg) for gen, sg in g.word),
-                                (g.base[0] + cum, g.base[1] + cum))
-                u = s.unlink(i)
-                if not is_cut_reducing(shifted, u):
-                    raise InvariantError(
-                        f"translated torus witness fails for unlink {i}")
-                block_punctures = set(range(cum, cum + blk.n))
-                if len(enclosed_punctures(shifted) & block_punctures) != 3:
-                    raise InvariantError("translated torus witness does not "
-                                         "enclose three summand punctures")
-                out[(i, l)] = shifted
-        cum += blk.n
+    for l, (part, block) in enumerate(s.meta.blocks()):
+        if part.op != "atom" or part.name != "T":
+            continue
+        cum = block.start
+        for i in (1, 2, 3):
+            g = gammas[i - 1]
+            shifted = Curve(s.sphere,
+                            tuple((gen + cum, sg) for gen, sg in g.word),
+                            (g.base[0] + cum, g.base[1] + cum))
+            u = s.unlink(i)
+            if not is_cut_reducing(shifted, u):
+                raise InvariantError(
+                    f"translated torus witness fails for unlink {i}")
+            if len(enclosed_punctures(shifted) & set(block)) != 3:
+                raise InvariantError("translated torus witness does not "
+                                     "enclose three summand punctures")
+            out[(i, l)] = shifted
     return out
 
 
@@ -494,6 +466,10 @@ def verify_certificate(cert: KTCertificate) -> CheckReport:
                    f"recomputed {total} != {kc.total}")
     if cert.l_upper is not None and cert.lstar_upper is not None:
         rep.record("dual<=pants", cert.lstar_upper <= cert.l_upper)
+    for upper in (cert.l_upper, cert.lstar_upper):
+        if upper is not None:
+            rep.record("lower<=upper", cert.lower <= upper,
+                       f"lower {cert.lower} > upper {upper}")
     if cert.exact:
         rep.record("exact-consistent", cert.lower == cert.l_upper)
     return rep
@@ -574,8 +550,8 @@ def parse_certificate(text: str) -> KTCertificate:
             current = KindCertificate(kind=name, total=total)
             kinds[name] = current
             pair_ctx = cross_ctx = None
-        elif t.startswith("note: ") and current is not None and not t.startswith("note: composition"):
-            if ln.startswith("  "):
+        elif t.startswith("note: "):
+            if ln.startswith("  ") and current is not None:
                 current.note = t[len("note: "):]
             else:
                 notes.append(t[len("note: "):])
@@ -588,8 +564,7 @@ def parse_certificate(text: str) -> KTCertificate:
             pair_ctx["plus"] = parse_pants(sphere, t[len("plus: "):])
         elif t.startswith("minus: "):
             pair_ctx["minus"] = parse_pants(sphere, t[len("minus: "):])
-            res = DistanceResult(kind=current.kind, value=pair_ctx["within"],
-                                 twist_budget=twist, node_budget=nodes)
+            res = DistanceResult(kind=current.kind, value=pair_ctx["within"])
             pair = EfficientPair(pair_ctx["plus"], pair_ctx["minus"],
                                  current.kind, res)
             current.pairs[pair_ctx["i"]] = pair
@@ -597,23 +572,18 @@ def parse_certificate(text: str) -> KTCertificate:
         elif t.startswith("within-path: "):
             pair = current.pairs[pair_ctx["i"]]
             pair.realized.path.append(parse_pants(sphere, t[len("within-path: "):]))
-            pair.realized.trivial_lower = (spine.n - 3) - len(
-                pair.p_plus.shared_with(pair.p_minus))
         elif t.startswith("cross "):
             parts = t.split()
             cross_ctx = parts[1]
             value = None if parts[3] == "None" else int(parts[3])
-            current.cross[cross_ctx] = DistanceResult(
-                kind=current.kind, value=value, twist_budget=twist,
-                node_budget=nodes)
+            current.cross[cross_ctx] = DistanceResult(kind=current.kind,
+                                                      value=value)
             pair_ctx = None
         elif t.startswith("cross-path: "):
             current.cross[cross_ctx].path.append(
                 parse_pants(sphere, t[len("cross-path: "):]))
         elif t.startswith("result:"):
             break
-        elif t.startswith("note: "):
-            notes.append(t[len("note: "):])
     cert = KTCertificate(spine, kinds.get("pants", KindCertificate("pants")),
                          kinds.get("dual", KindCertificate("dual")),
                          lower=lower, justification=justification,

@@ -30,12 +30,11 @@ from dataclasses import dataclass, field
 
 from .curves import Curve, arc_intersection, enclosed_punctures, format_curve
 from .pants import PantsDecomposition
-from .tangles import (BridgeSplitUnlink, CheckReport, EfficientPair,
-                      check_edp_structure, check_parity,
-                      efficient_defining_pairs, is_compressing, is_cut,
+from .tangles import (BridgeSplitUnlink, CheckReport, check_edp_structure,
+                      check_parity, efficient_defining_pairs, is_compressing,
                       is_cut_reducing, is_reducing)
 from .trisection import Spine, spine_of_expression, standard
-from .invariants import CROSS_ROLES, InvariantError, kt_bounds
+from .invariants import CROSS_ROLES, kt_bounds
 
 LEMMA_IDS = ("edp1", "edp2", "edp3", "edp4", "edp5", "edp6", "edp7",
              "mainlemma2")
@@ -73,14 +72,10 @@ def _instances(bridge_cap: int) -> list[tuple[str, Spine]]:
     plane spines are the only honest ones at bridge number two), so the
     defining-pair lemmas do not apply to it.
     """
-    atoms = ["P+", "P-", "K20", "K11", "K02", "T"]
-    bridges = {"P+": 2, "P-": 2, "K20": 3, "K11": 3, "K02": 3, "T": 3}
-    out = []
-    for a in atoms:
-        if bridges[a] <= bridge_cap:
-            out.append((a, standard(a)))
-    for a, b in itertools.combinations_with_replacement(atoms, 2):
-        if bridges[a] + bridges[b] <= bridge_cap:
+    spines = {a: standard(a) for a in ("P+", "P-", "K20", "K11", "K02", "T")}
+    out = [(a, s) for a, s in spines.items() if s.b <= bridge_cap]
+    for a, b in itertools.combinations_with_replacement(spines, 2):
+        if spines[a].b + spines[b].b <= bridge_cap:
             expr = f"{a} + {b}"
             out.append((expr, spine_of_expression(expr)))
     return out
@@ -113,26 +108,15 @@ def children_of(p: PantsDecomposition, c: Curve):
     return maximal, punctures
 
 
-def _block_ranges(spine: Spine) -> list[range]:
-    if spine.meta is None:
-        return [range(0, spine.n)]
-    out = []
-    cum = 0
-    for part in spine.meta.distant_parts():
-        blk = spine_of_expression(str(part))
-        out.append(range(cum, cum + blk.n))
-        cum += blk.n
-    return out
-
-
 def _block_profile(spine: Spine, c: Curve):
-    """Per distant summand: how much of it the curve encloses."""
+    """Per distant summand: how much of it the curve encloses.  An opaque
+    spine is one block."""
+    if spine.meta is None:
+        ranges = [range(spine.n)]
+    else:
+        ranges = [block for _, block in spine.meta.blocks()]
     inside = enclosed_punctures(c)
-    profile = []
-    for rng in _block_ranges(spine):
-        k = len(inside & set(rng))
-        profile.append((k, len(rng)))
-    return profile
+    return [(len(inside & set(rng)), len(rng)) for rng in ranges]
 
 
 def _classify(c: Curve, u: BridgeSplitUnlink) -> str:
@@ -162,8 +146,6 @@ def _verify_edp2(label, spine, u, pair) -> CheckReport:
 
 def _verify_edp3(label, spine, u, pair) -> CheckReport:
     rep = CheckReport(subject=f"edp3 on {label}")
-    rep.record("reducing-children", True)
-    rep.record("one-side-children", True)
     for p, tangle in ((pair.p_plus, u.upper), (pair.p_minus, u.lower)):
         for c in p.curves:
             if not is_compressing(c, tangle):
@@ -198,8 +180,6 @@ def _even_partial_profile(profile) -> bool:
 
 def _verify_edp4(label, spine, u, pair) -> CheckReport:
     rep = CheckReport(subject=f"edp4 on {label}")
-    rep.record("odd-block-profile", True)
-    rep.record("children-split", True)
     for c in pair.psi:
         if not is_cut_reducing(c, u):
             continue
@@ -222,16 +202,11 @@ def _verify_edp4(label, spine, u, pair) -> CheckReport:
                 rep.record("even-child-structure",
                            _even_partial_profile(_block_profile(spine, d)),
                            format_curve(d))
-    rep.record("odd-child-cut-reducing", True)
-    rep.record("odd-child-same-block", True)
-    rep.record("even-child-structure", True)
     return rep
 
 
 def _verify_edp5(label, spine, u, pair) -> CheckReport:
     rep = CheckReport(subject=f"edp5 on {label}")
-    rep.record("even-block-profile", True)
-    rep.record("children-cut", True)
     sides = ((pair.g_plus, pair.p_plus, u.upper),
              (pair.g_minus, pair.p_minus, u.lower))
     for g, p, tangle in sides:
@@ -253,7 +228,6 @@ def _verify_edp5(label, spine, u, pair) -> CheckReport:
 
 def _verify_edp6(label, spine, u, pair) -> CheckReport:
     rep = CheckReport(subject=f"edp6 on {label}")
-    rep.record("reducing-psi-children", True)
     for c in pair.psi:
         if not is_reducing(c, u):
             continue
@@ -305,8 +279,8 @@ def _verify_mainlemma2(spine_label: str, spine: Spine, twist_budget: int,
         rep.record("applicable", True, "no torus summands; vacuous")
         return rep
     cert = kt_bounds(spine, twist_budget, node_budget)
-    ranges = _block_ranges(spine)
-    torus_blocks = [k for k, part in enumerate(spine.meta.distant_parts())
+    torus_blocks = [(l, set(block))
+                    for l, (part, block) in enumerate(spine.meta.blocks())
                     if part.op == "atom" and part.name == "T"]
     kc = cert.dual if cert.dual.pairs else cert.pants
     if not kc.pairs:
@@ -316,8 +290,7 @@ def _verify_mainlemma2(spine_label: str, spine: Spine, twist_budget: int,
     for i in (1, 2, 3):
         u = spine.unlink(i)
         psi = kc.pairs[i].psi
-        for l in torus_blocks:
-            block = set(ranges[l])
+        for l, block in torus_blocks:
             found = [c for c in psi
                      if is_cut_reducing(c, u)
                      and len(enclosed_punctures(c) & block) == 3]
@@ -330,7 +303,7 @@ def _verify_mainlemma2(spine_label: str, spine: Spine, twist_budget: int,
         b = kc.pairs[j].p_minus
         shared = {c.key for c in a.shared_with(b)}
         moved = 0
-        for l in torus_blocks:
+        for l, _ in torus_blocks:
             w = witnesses.get((i, l))
             if w is not None and w.key not in shared:
                 moved += 1

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .curves import (Curve, CurveError, PuncturedSphere, apply_half_twist,
+from .curves import (Curve, PuncturedSphere, apply_half_twist,
                      format_curve, geometric_intersection, parse_curve,
                      round_curve)
 
@@ -88,11 +88,6 @@ class PantsDecomposition:
     def shared_with(self, other: "PantsDecomposition") -> tuple[Curve, ...]:
         mine = {c.key: c for c in self.curves}
         return tuple(c for c in other.curves if c.key in mine)
-
-    def replace(self, index: int, new: Curve) -> "PantsDecomposition":
-        curves = list(self.curves)
-        curves[index] = new
-        return PantsDecomposition(self.sphere, curves)
 
 
 def _validate(sphere: PuncturedSphere, curves: Sequence[Curve]) -> None:
@@ -331,17 +326,22 @@ class DistanceResult:
 
     `value` is None when the budget was exhausted first; then `floor` is the
     number of complete levels explored, so the true distance exceeds it.
-    `trivial_lower` is the always-valid lower bound |q \\ p|.
     """
 
     kind: str
     value: int | None
     path: list[PantsDecomposition] = field(default_factory=list)
     floor: int = 0
-    trivial_lower: int = 0
     nodes_expanded: int = 0
-    twist_budget: int = DEFAULT_TWIST_BUDGET
-    node_budget: int = DEFAULT_NODE_BUDGET
+
+    @property
+    def trivial_lower(self) -> int:
+        """The always-valid lower bound |q \\ p| between the ends p, q of
+        the path; 0 without a path."""
+        if not self.path:
+            return 0
+        p, q = self.path[0], self.path[-1]
+        return (q.n - 3) - len(p.shared_with(q))
 
     @property
     def exact(self) -> bool:
@@ -372,9 +372,7 @@ def distance_upper(p: PantsDecomposition, q: PantsDecomposition,
     """
     if p.n != q.n:
         raise PantsError("decompositions on different spheres")
-    trivial_lower = (q.n - 3) - len(p.shared_with(q))
-    res = DistanceResult(kind=kind, value=None, trivial_lower=trivial_lower,
-                         twist_budget=twist_budget, node_budget=node_budget)
+    res = DistanceResult(kind=kind, value=None)
     if p == q:
         res.value = 0
         res.path = [p]

@@ -8,7 +8,7 @@ Output bytes depend only on the input, so renders diff cleanly.
 
 from __future__ import annotations
 
-from .curves import ArcSystem, Curve, word_permutation
+from .curves import ArcSystem, Curve
 from .trisection import Spine
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")

@@ -35,14 +35,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
 
-from .curves import (ArcSystem, Curve, CurveError, PuncturedSphere,
-                     arc_intersection, enclosed_punctures, format_arcs,
-                     format_curve, geometric_intersection, parse_arcs)
+from .curves import (ArcSystem, Curve, PuncturedSphere, arc_intersection,
+                     enclosed_punctures, format_arcs, format_curve,
+                     geometric_intersection, parse_arcs)
 from .pants import (DEFAULT_NODE_BUDGET, DEFAULT_TWIST_BUDGET, DistanceResult,
-                    CurvePool, PantsDecomposition, curve_pool, distance_upper,
-                    validate_pants)
+                    CurvePool, PantsDecomposition, curve_pool, distance_upper)
 
 
 class TangleError(ValueError):
@@ -410,8 +408,6 @@ def check_edp_structure(pair: EfficientPair, u: BridgeSplitUnlink) -> CheckRepor
     gp, gm, psi = pair.g_plus, pair.g_minus, pair.psi
     rep.record("sizes", len(gp) == len(gm) == b - c and len(psi) == b + c - 3,
                f"|g+|={len(gp)} |g-|={len(gm)} |psi|={len(psi)} b={b} c={c}")
-    rep.record("pairwise<=2", True)
-    rep.record("unique-partner", True)
     for x in gp:
         partners = 0
         for y in gm:
@@ -445,8 +441,6 @@ def check_parity(pair: EfficientPair) -> CheckReport:
         k = len(enclosed_punctures(cv))
         rep.record("even", k % 2 == 0,
                    f"{format_curve(cv)} encloses {k} punctures")
-    if not pair.g_plus and not pair.g_minus:
-        rep.record("even", True)
     return rep
 
 

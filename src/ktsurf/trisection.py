@@ -25,6 +25,12 @@ exhibits its separating curve at budget zero).
 
 Composite surfaces are expressions over the atoms with `+` for the distant
 sum and `#` for the connected sum, `#` binding tighter.
+
+The distant-sum layout is owned here: `SurfaceExpr.blocks` places each
+distant summand on its own consecutive block of 2b punctures, left to
+right, with b read by `SurfaceExpr.bridge` from the standard spines.  Block
+certificates, torus witnesses and the lemma verifiers' block profiles all
+use these ranges.
 """
 
 from __future__ import annotations
@@ -32,14 +38,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
 
-from .curves import (ArcSystem, Curve, CurveError, PuncturedSphere,
-                     format_arcs, parse_arcs, parse_word)
+from .curves import (ArcSystem, Curve, PuncturedSphere, format_arcs,
+                     parse_arcs, parse_word)
 from .pants import curve_pool, DEFAULT_TWIST_BUDGET
 from .tangles import (BridgeSplitUnlink, CheckReport, ShadowTangle,
-                      TangleError, component_count, is_c_reducing,
-                      is_cut_reducing, is_reducing)
+                      is_c_reducing)
 
 ATOMS = ("U", "P+", "P-", "K20", "K11", "K02", "T")
 
@@ -92,6 +96,25 @@ class SurfaceExpr:
 
     def distant_parts(self) -> tuple["SurfaceExpr", ...]:
         return self.parts if self.op == "+" else (self,)
+
+    def bridge(self) -> int:
+        """Bridge number: an atom's is its standard spine's, a distant sum
+        adds them, a connected sum loses one per join."""
+        if self.op == "atom":
+            return standard(self.name).b
+        total = sum(p.bridge() for p in self.parts)
+        return total if self.op == "+" else total - (len(self.parts) - 1)
+
+    def blocks(self) -> tuple[tuple["SurfaceExpr", range], ...]:
+        """Each distant summand with its punctures: consecutive blocks,
+        twice the bridge number wide, left to right."""
+        out = []
+        start = 0
+        for part in self.distant_parts():
+            end = start + 2 * part.bridge()
+            out.append((part, range(start, end)))
+            start = end
+        return tuple(out)
 
 
 def atom(name: str) -> SurfaceExpr:
@@ -234,18 +257,9 @@ def validate_spine(s: Spine) -> CheckReport:
     else:
         atoms_ok = all(a in ATOMS for a in s.meta.atoms())
         rep.record("metadata-atoms", atoms_ok, str(s.meta))
-        rep.record("metadata-bridge", _expr_bridge(s.meta) == s.b,
-                   f"expected b={_expr_bridge(s.meta)}, have {s.b}")
+        rep.record("metadata-bridge", s.meta.bridge() == s.b,
+                   f"expected b={s.meta.bridge()}, have {s.b}")
     return rep
-
-
-def _expr_bridge(e: SurfaceExpr) -> int:
-    if e.op == "atom":
-        return {"U": 2, "P+": 2, "P-": 2, "K20": 3, "K11": 3, "K02": 3,
-                "T": 3}[e.name]
-    if e.op == "+":
-        return sum(_expr_bridge(p) for p in e.parts)
-    return sum(_expr_bridge(p) for p in e.parts) - (len(e.parts) - 1)
 
 
 # -- sums -----------------------------------------------------------------------

@@ -62,6 +62,27 @@ def test_opaque_spine_is_bounds_only_unless_zero():
     assert not cert.exact
 
 
+def test_kind_note_round_trip():
+    # An indented kind note starting with "composition" stays with its kind.
+    cert = kt_bounds(standard("P+"))
+    cert.pants.note = "composition of blocks"
+    text = format_certificate(cert)
+    again = parse_certificate(text)
+    assert again.pants.note == "composition of blocks"
+    assert again.notes == cert.notes
+    assert format_certificate(again) == text
+
+
+def test_verifier_rejects_lower_above_upper():
+    text = format_certificate(kt_bounds(standard("T")))
+    forged = text.replace("lower: 3 (torus-count)", "lower: 9 (torus-count)")
+    assert forged != text
+    rep = verify_certificate(parse_certificate(forged))
+    assert not rep.ok
+    assert rep.clauses["lower<=upper"] is False
+    assert verify_certificate(parse_certificate(text)).clauses["lower<=upper"]
+
+
 def test_connected_sum_upper_only():
     # Tori joined by a connected sum carry no certified lower bound.
     s = spine_of_expression("T # T")

@@ -1,7 +1,9 @@
 """The package namespace: what `import ktsurf` loads, and lazy names."""
 
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 LAZY_MODULES = ("ktsurf.farey", "ktsurf.invariants", "ktsurf.lemmas")
 
@@ -40,3 +42,33 @@ def test_unknown_name_is_an_attribute_error():
         assert "no_such_name" in str(exc)
     else:
         raise AssertionError("expected AttributeError")
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [(a.asname or a.name).split(".")[0] for a in node.names]
+        else:
+            continue
+        for name in names:
+            imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"line {ln}: {name}" for name, ln in imported.items()
+            if name not in used]
+
+
+def test_modules_use_every_name_they_import():
+    # The package namespace re-exports by design, so __init__ is exempt.
+    import ktsurf
+    package = Path(ktsurf.__file__).parent
+    unused = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        found = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if found:
+            unused[path.name] = found
+    assert not unused, unused

@@ -1,5 +1,7 @@
 """Standard spines, sums, witness search, expression grammar, file format."""
 
+import itertools
+
 import pytest
 
 from ktsurf.curves import enclosed_punctures, round_curve
@@ -141,3 +143,33 @@ def test_identical_tangles_give_component_count_b():
     s = Spine(t, t, t)
     assert validate_spine(s).ok
     assert s.c == (2, 2, 2)
+
+
+def _census(max_bridge=12, max_tori=3):
+    """Distant sums of at least two atoms with b <= 12 and <= 3 tori."""
+    b = {a: standard(a).b for a in ATOMS}
+    for size in range(2, max_bridge // 2 + 1):
+        for combo in itertools.combinations_with_replacement(sorted(ATOMS),
+                                                             size):
+            if (sum(b[a] for a in combo) <= max_bridge
+                    and combo.count("T") <= max_tori):
+                yield " + ".join(combo)
+
+
+def test_blocks_tile_the_census_sums():
+    exprs = list(_census())
+    assert len(exprs) == 530
+    for text in exprs + ["T", "K20 # T", "T # T + P+ + K11"]:
+        e = parse_expression(text)
+        spine = spine_of_expression(e)
+        blocks = e.blocks()
+        assert tuple(part for part, _ in blocks) == e.distant_parts(), text
+        assert [k for _, r in blocks for k in r] == list(range(spine.n)), text
+        for part, r in blocks:
+            assert len(r) == 2 * spine_of_expression(part).b, text
+
+
+def test_bridge_reads_the_standard_spines():
+    for text in list(ATOMS) + ["K20 + T", "T # T", "P+ # P- + T # K02"]:
+        e = parse_expression(text)
+        assert e.bridge() == spine_of_expression(e).b, text
