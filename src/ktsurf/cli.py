@@ -9,7 +9,8 @@ Subcommands:
   validate    structural checks of a spine file
 
 Budgets come from flags or the environment (KT_TWIST_BUDGET, KT_NODE_BUDGET,
-KT_BRIDGE_CAP); flags win.  Exit codes: 0 for success/exact, 2 for
+KT_BRIDGE_CAP); flags win.  Each subcommand takes only the budget and format
+flags it reads.  Exit codes: 0 for success/exact, 2 for
 bounds-only results, 1 for input errors or failing suites.
 """
 
@@ -18,11 +19,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from .curves import CurveError, PuncturedSphere, parse_curve
 from .pants import (DEFAULT_NODE_BUDGET, DEFAULT_TWIST_BUDGET, PantsError,
-                    distance_upper, format_pants, parse_pants)
+                    distance_upper, format_pants, parse_pants, validate_pants)
 from .tangles import TangleError
 from .trisection import (Spine, SpineError, c_reducing_witness, format_spine,
                          parse_expression, parse_spine, spine_of_expression,
@@ -31,39 +31,27 @@ from .invariants import (InvariantError, format_certificate, kt_bounds,
                          verify_certificate)
 
 
-@dataclass
-class RunConfig:
-    """Search budgets and reporting options shared by the commands."""
-
-    twist_budget: int = DEFAULT_TWIST_BUDGET
-    node_budget: int = DEFAULT_NODE_BUDGET
-    bridge_cap: int = 4
-    fmt: str = "text"
-
-    def __post_init__(self):
-        if self.twist_budget < 0 or self.node_budget <= 0 or self.bridge_cap <= 0:
-            raise ValueError("budgets must be positive")
+# budget flag -> (environment override, default)
+_BUDGET_FLAGS = {
+    "--twist-budget": ("KT_TWIST_BUDGET", DEFAULT_TWIST_BUDGET),
+    "--node-budget": ("KT_NODE_BUDGET", DEFAULT_NODE_BUDGET),
+    "--bridge-cap": ("KT_BRIDGE_CAP", 4),
+}
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    return int(raw) if raw else default
+def _add_budget_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+    """Register those budget flags that the subcommand reads."""
+    for flag in flags:
+        env, default = _BUDGET_FLAGS[flag]
+        p.add_argument(flag, type=int,
+                       default=int(os.environ.get(env) or default))
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--twist-budget", type=int,
-                   default=_env_int("KT_TWIST_BUDGET", DEFAULT_TWIST_BUDGET))
-    p.add_argument("--node-budget", type=int,
-                   default=_env_int("KT_NODE_BUDGET", DEFAULT_NODE_BUDGET))
-    p.add_argument("--bridge-cap", type=int,
-                   default=_env_int("KT_BRIDGE_CAP", 4))
-    p.add_argument("--format", choices=("text", "structured"), default="text")
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(twist_budget=args.twist_budget,
-                     node_budget=args.node_budget,
-                     bridge_cap=args.bridge_cap, fmt=args.format)
+def _check_budgets(args) -> None:
+    if (getattr(args, "twist_budget", 0) < 0
+            or getattr(args, "node_budget", 1) <= 0
+            or getattr(args, "bridge_cap", 1) <= 0):
+        raise ValueError("budgets must be positive")
 
 
 def _load_spine(args) -> Spine:
@@ -76,11 +64,10 @@ def _load_spine(args) -> Spine:
 
 
 def cmd_invariant(args) -> int:
-    cfg = _config(args)
     spine = _load_spine(args)
-    cert = kt_bounds(spine, cfg.twist_budget, cfg.node_budget)
+    cert = kt_bounds(spine, args.twist_budget, args.node_budget)
     check = verify_certificate(cert)
-    if cfg.fmt == "structured":
+    if args.format == "structured":
         meta = str(spine.meta) if spine.meta else "opaque"
         print(f"meta\t{meta}")
         print(f"bridge\t{spine.b}")
@@ -105,36 +92,34 @@ def cmd_invariant(args) -> int:
 def cmd_verify(args) -> int:
     from .lemmas import LEMMA_IDS, verify_lemma
 
-    cfg = _config(args)
     ids = LEMMA_IDS if args.lemma == "all" else (args.lemma,)
     failing = 0
     total = 0
     for lemma in ids:
-        reports = verify_lemma(lemma, cfg.bridge_cap, cfg.twist_budget,
-                               cfg.node_budget)
+        reports = verify_lemma(lemma, args.bridge_cap, args.twist_budget,
+                               args.node_budget)
         ok = sum(r.ok for r in reports)
         total += len(reports)
         failing += len(reports) - ok
-        if cfg.fmt == "structured":
+        if args.format == "structured":
             print(f"lemma\t{lemma}\t{ok}\t{len(reports)}")
         else:
             print(f"{lemma}: {ok}/{len(reports)} instances pass")
         for r in reports:
             if not r.ok:
                 print(r.summary())
-    if cfg.fmt == "text":
+    if args.format == "text":
         print(f"total: {total - failing}/{total} pass")
     return 0 if failing == 0 else 1
 
 
 def cmd_distance(args) -> int:
-    cfg = _config(args)
     sphere = PuncturedSphere(args.punctures)
-    p = parse_pants(sphere, args.first)
-    q = parse_pants(sphere, args.second)
+    p = validate_pants(sphere, parse_pants(sphere, args.first))
+    q = validate_pants(sphere, parse_pants(sphere, args.second))
     res = distance_upper(p, q, kind=args.kind,
-                         twist_budget=cfg.twist_budget,
-                         node_budget=cfg.node_budget)
+                         twist_budget=args.twist_budget,
+                         node_budget=args.node_budget)
     if res.value is None:
         print(f"unknown (> {res.floor} within budget)")
         return 2
@@ -167,7 +152,7 @@ def cmd_validate(args) -> int:
     print(rep.summary())
     for note in rep.failures:
         print(f"  {note}")
-    witness = c_reducing_witness(spine, twist_budget=_config(args).twist_budget)
+    witness = c_reducing_witness(spine, twist_budget=args.twist_budget)
     if witness is not None:
         print(f"common c-reducing curve: {witness}")
     else:
@@ -197,12 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expression", nargs="?", default="-",
                    help="surface expression, or - for a spine on stdin")
     p.add_argument("--spine", help="spine file to load instead")
-    _add_config_flags(p)
+    _add_budget_flags(p, "--twist-budget", "--node-budget")
+    p.add_argument("--format", choices=("text", "structured"), default="text")
     p.set_defaults(func=cmd_invariant)
 
     p = sub.add_parser("verify", help="run lemma suites")
     p.add_argument("lemma", type=_lemma_choice, help="a lemma id, or all")
-    _add_config_flags(p)
+    _add_budget_flags(p, "--twist-budget", "--node-budget", "--bridge-cap")
+    p.add_argument("--format", choices=("text", "structured"), default="text")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("distance", help="pants/dual distance search")
@@ -210,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("second", help="pants literal")
     p.add_argument("--punctures", type=int, required=True)
     p.add_argument("--kind", choices=("pants", "dual"), default="pants")
-    _add_config_flags(p)
+    _add_budget_flags(p, "--twist-budget", "--node-budget")
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("render", help="emit an SVG picture")
@@ -221,22 +208,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--punctures", type=int, default=6,
                    help="sphere size for --curves")
     p.add_argument("--output", "-o", required=True)
-    _add_config_flags(p)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("validate", help="check a spine file")
     p.add_argument("expression", nargs="?", default="-")
     p.add_argument("--spine")
-    _add_config_flags(p)
+    _add_budget_flags(p, "--twist-budget")
     p.set_defaults(func=cmd_validate)
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        _check_budgets(args)
         return args.func(args)
     except (CurveError, PantsError, TangleError, SpineError, InvariantError,
             ValueError, OSError) as exc:

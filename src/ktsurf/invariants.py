@@ -39,7 +39,7 @@ from functools import lru_cache
 from .curves import Curve, PuncturedSphere, enclosed_punctures, round_curve
 from .pants import (DEFAULT_NODE_BUDGET, DEFAULT_TWIST_BUDGET, DistanceResult,
                     PantsDecomposition, format_pants, interior_pool,
-                    parse_pants, validate_pants)
+                    parse_pants)
 from .tangles import (CheckReport, EfficientPair, efficient_defining_pairs,
                       enumerate_efficient, is_cut_reducing, is_efficient,
                       pair_distance)
@@ -244,7 +244,7 @@ def _composed_kind(s: Spine, kind: str, twist_budget: int,
             curves = list(base)
             for part in state:
                 curves.extend(part)
-            return PantsDecomposition(sphere, curves, _validated=True)
+            return PantsDecomposition(sphere, curves)
 
         path = [snapshot()]
         for l in blocks:
@@ -426,8 +426,15 @@ def find_torus_cut_reducers(s: Spine) -> dict[tuple[int, int], Curve]:
 
 # -- certificate verification ---------------------------------------------------------
 
+def _path_joins(r: DistanceResult, start: PantsDecomposition,
+                goal: PantsDecomposition) -> bool:
+    """r is a verified path from start to goal."""
+    return r.verify_path() and r.path[0] == start and r.path[-1] == goal
+
+
 def verify_certificate(cert: KTCertificate) -> CheckReport:
-    """Re-check every claim of a certificate from scratch."""
+    """Re-check every claim of a certificate from scratch, every vertex
+    of every path included (the parser checks syntax only)."""
     rep = CheckReport(subject="kt-certificate")
     s = cert.spine
     for kc in (cert.pants, cert.dual):
@@ -442,24 +449,16 @@ def verify_certificate(cert: KTCertificate) -> CheckReport:
         for i in (1, 2, 3):
             pair = kc.pairs[i]
             u = s.unlink(i)
-            try:
-                validate_pants(s.sphere, pair.p_plus.curves)
-                validate_pants(s.sphere, pair.p_minus.curves)
-            except Exception as exc:  # report, never raise
-                rep.record(f"{kc.kind}-pants-valid", False, str(exc))
-                continue
-            rep.record(f"{kc.kind}-pants-valid", True)
             rep.record(f"{kc.kind}-efficient",
                        is_efficient(pair.p_plus, u.upper)
                        and is_efficient(pair.p_minus, u.lower),
                        f"unlink {i}")
-            rep.record(f"{kc.kind}-within-path", pair.realized.verify_path(),
+            rep.record(f"{kc.kind}-within-path",
+                       _path_joins(pair.realized, pair.p_plus, pair.p_minus),
                        f"unlink {i}")
         for label, (i, j) in CROSS_ROLES.items():
             r = kc.cross[label]
-            ok = (r.value is not None and r.verify_path()
-                  and r.path[0] == kc.pairs[i].p_plus
-                  and r.path[-1] == kc.pairs[j].p_minus)
+            ok = _path_joins(r, kc.pairs[i].p_plus, kc.pairs[j].p_minus)
             rep.record(f"{kc.kind}-cross-path", ok, f"tangle {label}")
             total += r.value if r.value is not None else 0
         rep.record(f"{kc.kind}-total", total == kc.total,
@@ -470,8 +469,6 @@ def verify_certificate(cert: KTCertificate) -> CheckReport:
         if upper is not None:
             rep.record("lower<=upper", cert.lower <= upper,
                        f"lower {cert.lower} > upper {upper}")
-    if cert.exact:
-        rep.record("exact-consistent", cert.lower == cert.l_upper)
     return rep
 
 
@@ -513,6 +510,7 @@ def format_certificate(cert: KTCertificate) -> str:
 
 
 def parse_certificate(text: str) -> KTCertificate:
+    """Read a certificate; syntax only, validity is for the verifier."""
     lines = [ln.rstrip() for ln in text.splitlines()]
     if not lines or lines[0] != "kt-certificate":
         raise InvariantError("not a kt-certificate block")
@@ -544,46 +542,51 @@ def parse_certificate(text: str) -> KTCertificate:
     notes = []
     for ln in lines[k:]:
         t = ln.strip()
-        if t.startswith("kind "):
-            name, total_text = t[5:].split(": total ")
-            total = None if total_text == "unknown-above-budget" else int(total_text)
-            current = KindCertificate(kind=name, total=total)
-            kinds[name] = current
-            pair_ctx = cross_ctx = None
-        elif t.startswith("note: "):
-            if ln.startswith("  ") and current is not None:
-                current.note = t[len("note: "):]
-            else:
-                notes.append(t[len("note: "):])
-        elif t.startswith("unlink "):
-            parts = t.split()
-            pair_ctx = {"i": int(parts[1]), "within": int(parts[3]),
-                        "plus": None, "minus": None, "path": []}
-            cross_ctx = None
-        elif t.startswith("plus: "):
-            pair_ctx["plus"] = parse_pants(sphere, t[len("plus: "):])
-        elif t.startswith("minus: "):
-            pair_ctx["minus"] = parse_pants(sphere, t[len("minus: "):])
-            res = DistanceResult(kind=current.kind, value=pair_ctx["within"])
-            pair = EfficientPair(pair_ctx["plus"], pair_ctx["minus"],
-                                 current.kind, res)
-            current.pairs[pair_ctx["i"]] = pair
-            pair_ctx["pair"] = pair
-        elif t.startswith("within-path: "):
-            pair = current.pairs[pair_ctx["i"]]
-            pair.realized.path.append(parse_pants(sphere, t[len("within-path: "):]))
-        elif t.startswith("cross "):
-            parts = t.split()
-            cross_ctx = parts[1]
-            value = None if parts[3] == "None" else int(parts[3])
-            current.cross[cross_ctx] = DistanceResult(kind=current.kind,
-                                                      value=value)
-            pair_ctx = None
-        elif t.startswith("cross-path: "):
-            current.cross[cross_ctx].path.append(
-                parse_pants(sphere, t[len("cross-path: "):]))
-        elif t.startswith("result:"):
-            break
+        try:
+            if t.startswith("kind "):
+                name, total_text = t[5:].split(": total ")
+                total = (None if total_text == "unknown-above-budget"
+                         else int(total_text))
+                current = KindCertificate(kind=name, total=total)
+                kinds[name] = current
+                pair_ctx = cross_ctx = None
+            elif t.startswith("note: "):
+                if ln.startswith("  ") and current is not None:
+                    current.note = t[len("note: "):]
+                else:
+                    notes.append(t[len("note: "):])
+            elif t.startswith("unlink "):
+                parts = t.split()
+                pair_ctx = {"i": int(parts[1]), "within": int(parts[3]),
+                            "plus": None}
+                cross_ctx = None
+            elif t.startswith("plus: "):
+                pair_ctx["plus"] = parse_pants(sphere, t[len("plus: "):])
+            elif t.startswith("minus: "):
+                minus = parse_pants(sphere, t[len("minus: "):])
+                res = DistanceResult(kind=current.kind,
+                                     value=pair_ctx["within"])
+                current.pairs[pair_ctx["i"]] = EfficientPair(
+                    pair_ctx["plus"], minus, current.kind, res)
+            elif t.startswith("within-path: "):
+                pair = current.pairs[pair_ctx["i"]]
+                pair.realized.path.append(
+                    parse_pants(sphere, t[len("within-path: "):]))
+            elif t.startswith("cross "):
+                parts = t.split()
+                cross_ctx = parts[1]
+                value = None if parts[3] == "None" else int(parts[3])
+                current.cross[cross_ctx] = DistanceResult(kind=current.kind,
+                                                          value=value)
+                pair_ctx = None
+            elif t.startswith("cross-path: "):
+                current.cross[cross_ctx].path.append(
+                    parse_pants(sphere, t[len("cross-path: "):]))
+            elif t.startswith("result:"):
+                break
+        except (AttributeError, IndexError, KeyError, TypeError):
+            raise InvariantError(
+                f"malformed or misplaced certificate line {t!r}") from None
     cert = KTCertificate(spine, kinds.get("pants", KindCertificate("pants")),
                          kinds.get("dual", KindCertificate("dual")),
                          lower=lower, justification=justification,

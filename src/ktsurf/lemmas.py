@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .curves import Curve, arc_intersection, enclosed_punctures, format_curve
-from .pants import PantsDecomposition
+from .pants import DEFAULT_NODE_BUDGET, DEFAULT_TWIST_BUDGET, PantsDecomposition
 from .tangles import (BridgeSplitUnlink, CheckReport, check_edp_structure,
                       check_parity, efficient_defining_pairs, is_compressing,
                       is_cut_reducing, is_reducing)
@@ -316,8 +316,8 @@ def _verify_mainlemma2(spine_label: str, spine: Spine, twist_budget: int,
 
 
 def verify_lemma(lemma_id: str, bridge_cap: int = 4,
-                 twist_budget: int = 3,
-                 node_budget: int = 10 ** 6) -> list[LemmaReport]:
+                 twist_budget: int = DEFAULT_TWIST_BUDGET,
+                 node_budget: int = DEFAULT_NODE_BUDGET) -> list[LemmaReport]:
     """Run one lemma verifier over the generated instance suite."""
     if lemma_id not in LEMMA_IDS:
         raise LemmaError(f"unknown lemma id {lemma_id!r}; "
@@ -346,8 +346,8 @@ def verify_lemma(lemma_id: str, bridge_cap: int = 4,
     return reports
 
 
-def verify_all(bridge_cap: int = 4, twist_budget: int = 3,
-               node_budget: int = 10 ** 6) -> list[LemmaReport]:
+def verify_all(bridge_cap: int = 4, twist_budget: int = DEFAULT_TWIST_BUDGET,
+               node_budget: int = DEFAULT_NODE_BUDGET) -> list[LemmaReport]:
     out = []
     for lemma_id in LEMMA_IDS:
         out.extend(verify_lemma(lemma_id, bridge_cap, twist_budget,

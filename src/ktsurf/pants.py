@@ -6,6 +6,12 @@ meets it exactly twice is an elementary move (edge of the pants complex);
 allowing any intersection number >= 2 gives the dual curve complex, whose
 distance can only be smaller.
 
+A :class:`PantsDecomposition` is a plain sorted value; searches and the
+syntax-only :func:`parse_pants` build it unchecked.  Validity is checked by
+:func:`validate_pants` for one decomposition and by
+:meth:`DistanceResult.verify_path` for a path: its first vertex in full,
+then each edge, and an edge from a valid vertex reaches a valid one.
+
 Both complexes are infinite and locally infinite, so searches are budgeted:
 candidate replacement curves are generated from round curves by twist words
 of bounded length, and breadth-first search stops after a node budget.  A
@@ -43,18 +49,14 @@ class PantsError(ValueError):
 
 
 class PantsDecomposition:
-    """A validated pants decomposition; a vertex of both complexes."""
+    """Sorted curves; a vertex of both complexes once checked valid."""
 
     __slots__ = ("sphere", "curves", "_key")
 
-    def __init__(self, sphere: PuncturedSphere, curves: Iterable[Curve],
-                 _validated: bool = False):
-        curves = tuple(sorted(curves))
-        if not _validated:
-            _validate(sphere, curves)
+    def __init__(self, sphere: PuncturedSphere, curves: Iterable[Curve]):
         self.sphere = sphere
-        self.curves = curves
-        self._key = tuple(c.key for c in curves)
+        self.curves = tuple(sorted(curves))
+        self._key = tuple(c.key for c in self.curves)
 
     @property
     def n(self) -> int:
@@ -90,7 +92,10 @@ class PantsDecomposition:
         return tuple(c for c in other.curves if c.key in mine)
 
 
-def _validate(sphere: PuncturedSphere, curves: Sequence[Curve]) -> None:
+def validate_pants(sphere: PuncturedSphere, curves: Iterable[Curve]) -> PantsDecomposition:
+    """Check count, disjointness and non-isotopy; return the canonical vertex."""
+    p = PantsDecomposition(sphere, curves)
+    curves = p.curves
     n = sphere.n
     for c in curves:
         if c.n != n:
@@ -109,11 +114,7 @@ def _validate(sphere: PuncturedSphere, curves: Sequence[Curve]) -> None:
             raise PantsError(
                 f"curves intersect ({i} points): {format_curve(a)} "
                 f"and {format_curve(b)}")
-
-
-def validate_pants(sphere: PuncturedSphere, curves: Iterable[Curve]) -> PantsDecomposition:
-    """Check count, disjointness and non-isotopy; return the canonical vertex."""
-    return PantsDecomposition(sphere, curves)
+    return p
 
 
 def is_pants_edge(p: PantsDecomposition, q: PantsDecomposition) -> bool:
@@ -128,16 +129,21 @@ def is_dual_edge(p: PantsDecomposition, q: PantsDecomposition) -> bool:
 
 def _edge_kind(p: PantsDecomposition, q: PantsDecomposition) -> int:
     """0 if not an edge of either complex, else the intersection number of
-    the unique differing pair."""
-    if p.n != q.n or p == q:
+    the unique differing pair.  From a valid p an edge reaches a valid q:
+    same count, and the incoming curve misses the rest of q."""
+    if p.n != q.n or len(p) != len(q) or p == q:
         return 0
-    pk = {c.key: c for c in p.curves}
-    qk = {c.key: c for c in q.curves}
+    pk = {c.key for c in p.curves}
+    qk = {c.key for c in q.curves}
     p_only = [c for c in p.curves if c.key not in qk]
     q_only = [c for c in q.curves if c.key not in pk]
     if len(p_only) != 1 or len(q_only) != 1:
         return 0
-    return geometric_intersection(p_only[0], q_only[0])
+    new = q_only[0]
+    if any(geometric_intersection(new, c) != 0
+           for c in q.curves if c is not new):
+        return 0
+    return geometric_intersection(p_only[0], new)
 
 
 def is_edge(p: PantsDecomposition, q: PantsDecomposition, kind: str) -> bool:
@@ -315,7 +321,7 @@ def neighbor_candidates(p: PantsDecomposition, index: int,
                 cands.append(cand)
     out = {}
     for cand in cands:
-        q = PantsDecomposition(p.sphere, rest + [cand], _validated=True)
+        q = PantsDecomposition(p.sphere, rest + [cand])
         out[q.key] = q
     return sorted(out.values())
 
@@ -348,9 +354,13 @@ class DistanceResult:
         return self.value is not None and self.value <= self.trivial_lower
 
     def verify_path(self) -> bool:
-        if self.value is None:
-            return True
-        if len(self.path) != self.value + 1:
+        """`value` edges of this kind from a valid first vertex."""
+        if (self.value is None or not self.path
+                or len(self.path) != self.value + 1):
+            return False
+        try:
+            validate_pants(self.path[0].sphere, self.path[0].curves)
+        except PantsError:
             return False
         return all(is_edge(a, b, self.kind)
                    for a, b in zip(self.path, self.path[1:]))
@@ -478,7 +488,7 @@ def _distance_four(p: PantsDecomposition, q: PantsDecomposition, kind: str,
     path = [p]
     for s in chain[1:-1]:
         path.append(PantsDecomposition(
-            p.sphere, [farey.curve_of_slope(p.sphere, *s)], _validated=True))
+            p.sphere, [farey.curve_of_slope(p.sphere, *s)]))
     path.append(q)
     for x, y in zip(path, path[1:]):
         if not is_edge(x, y, kind):  # honest re-verification
@@ -501,4 +511,4 @@ def parse_pants(sphere: PuncturedSphere, text: str) -> PantsDecomposition:
         raise PantsError(f"bad pants literal {text!r}")
     body = text[text.index("{") + 1:-1].strip()
     parts = [s for s in (x.strip() for x in body.split(";")) if s]
-    return validate_pants(sphere, [parse_curve(sphere, s) for s in parts])
+    return PantsDecomposition(sphere, [parse_curve(sphere, s) for s in parts])

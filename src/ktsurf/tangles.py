@@ -233,8 +233,7 @@ def _enumerate_efficient_cached(arcs: ArcSystem, twist_budget: int,
 
     def extend(chosen, start):
         if len(chosen) == want:
-            out.append(PantsDecomposition(t.sphere, list(chosen),
-                                          _validated=True))
+            out.append(PantsDecomposition(t.sphere, list(chosen)))
             return
         for k in range(start, len(pool)):
             c = pool[k]

@@ -1,11 +1,12 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import argparse
 import subprocess
 import sys
 
 import pytest
 
-from ktsurf.cli import main
+from ktsurf.cli import build_parser, main
 
 
 def run_cli(args):
@@ -100,3 +101,40 @@ def test_structured_output_reproducible():
     code2, out2 = run_cli(["invariant", "K20", "--format", "structured"])
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_subcommands_take_only_the_flags_they_read():
+    shared = {"--twist-budget", "--node-budget", "--bridge-cap", "--format"}
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: shared & {o for a in p._actions for o in a.option_strings}
+           for name, p in sub.choices.items()}
+    assert got == {
+        "invariant": {"--twist-budget", "--node-budget", "--format"},
+        "verify": shared,
+        "distance": {"--twist-budget", "--node-budget"},
+        "render": set(),
+        "validate": {"--twist-budget"},
+    }
+    assert sum(map(len, got.values())) == 10
+
+
+@pytest.mark.parametrize("args,env", [
+    (["invariant", "P+", "--twist-budget", "-1"], {}),
+    (["invariant", "P+"], {"KT_NODE_BUDGET": "0"}),
+    (["verify", "edp1", "--bridge-cap", "0"], {}),
+    (["invariant", "P+"], {"KT_TWIST_BUDGET": "three"}),
+])
+def test_bad_budget_is_a_clean_error(args, env, monkeypatch, capsys):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, _ = run_cli(args)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_distance_rejects_an_invalid_literal(capsys):
+    code, _ = run_cli(["distance", "pants { e * rc(0..1); e * rc(1..2) }",
+                       "pants { e * rc(0..1) }", "--punctures", "4"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")

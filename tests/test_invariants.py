@@ -4,11 +4,13 @@ import hashlib
 
 import pytest
 
-from ktsurf.curves import enclosed_punctures
+from ktsurf.curves import (apply_half_twist, enclosed_punctures,
+                           format_curve, geometric_intersection)
 from ktsurf.invariants import (InvariantError, find_torus_cut_reducers,
                                format_certificate, is_u_spine, kt_bounds,
                                kt_lower, kt_upper, parse_certificate,
                                verify_certificate)
+from ktsurf.pants import format_pants, is_pants_edge
 from ktsurf.tangles import is_cut_reducing
 from ktsurf.trisection import (Spine, spine_of_expression, standard)
 
@@ -81,6 +83,49 @@ def test_verifier_rejects_lower_above_upper():
     assert not rep.ok
     assert rep.clauses["lower<=upper"] is False
     assert verify_certificate(parse_certificate(text)).clauses["lower<=upper"]
+
+
+def test_verifier_checks_within_paths_against_their_ends():
+    # Swap the pants within paths of unlinks 1 and 2: every step is still an
+    # edge, but neither path joins the pair it is listed under.
+    lines = format_certificate(kt_bounds(standard("T"))).splitlines()
+    within = [k for k, ln in enumerate(lines) if "within-path:" in ln][:6]
+    for a, b in zip(within[:3], within[3:]):
+        lines[a], lines[b] = lines[b], lines[a]
+    rep = verify_certificate(parse_certificate("\n".join(lines) + "\n"))
+    assert rep.clauses["pants-within-path"] is False
+    assert rep.clauses["dual-within-path"]
+
+
+def test_bad_path_vertex_parses_then_fails_verification():
+    # A torus certificate whose interior cross-path vertex swaps its
+    # incoming curve for one that still meets the outgoing curve twice but
+    # also meets a kept curve: the parser reads it, the verifier rejects
+    # the path.
+    cert = kt_bounds(spine_of_expression("T + T"))
+    path = cert.pants.cross["12"].path
+    assert len(path) == 3
+    vertex = path[1]
+    (old,) = [c for c in path[0].curves if c not in vertex.curves]
+    kept = [c for c in vertex.curves if c in path[0].curves]
+    bad = next(d for g in range(vertex.n - 1)
+               for d in [apply_half_twist(old, g)]
+               if d not in vertex.curves
+               and geometric_intersection(d, old) == 2
+               and any(geometric_intersection(d, k) for k in kept))
+    forged = sorted(kept + [bad])
+    lines = format_certificate(cert).splitlines()
+    at = lines.index("  cross 12 length 2") + 2
+    assert lines[at] == f"    cross-path: {format_pants(vertex)}"
+    lines[at] = ("    cross-path: pants { "
+                 + "; ".join(format_curve(c) for c in forged) + " }")
+    parsed = parse_certificate("\n".join(lines) + "\n")
+    start, middle = parsed.pants.cross["12"].path[:2]
+    assert list(middle.curves) == forged
+    assert not is_pants_edge(start, middle)
+    rep = verify_certificate(parsed)
+    assert rep.clauses["pants-cross-path"] is False
+    assert rep.clauses["dual-cross-path"]
 
 
 def test_connected_sum_upper_only():
@@ -186,3 +231,12 @@ def test_truncated_certificate_is_an_invariant_error(keep):
     head = "\n".join(text.splitlines()[:keep]) + "\n"
     with pytest.raises(InvariantError):
         parse_certificate(head)
+
+
+@pytest.mark.parametrize("header", ["unlink", "cross", "kind"])
+def test_line_outside_its_block_is_an_invariant_error(header):
+    text = format_certificate(kt_bounds(standard("P+")))
+    kept = [ln for ln in text.splitlines()
+            if not ln.strip().startswith(header + " ")]
+    with pytest.raises(InvariantError, match="misplaced"):
+        parse_certificate("\n".join(kept) + "\n")

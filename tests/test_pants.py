@@ -153,7 +153,7 @@ def _scan_candidates(p, index, pool, kind, extra):
             continue
         if any(geometric_intersection(cand, c) != 0 for c in rest):
             continue
-        q = PantsDecomposition(p.sphere, rest + [cand], _validated=True)
+        q = PantsDecomposition(p.sphere, rest + [cand])
         out[q.key] = q
     return sorted(out.values())
 
@@ -262,3 +262,28 @@ def test_triangle_inequality():
         dbc = farey_distance_slopes(b, c)
         dac = farey_distance_slopes(a, c)
         assert dac <= dab + dbc
+
+
+def test_edge_needs_equal_counts_and_a_disjoint_incoming_curve():
+    S7 = PuncturedSphere(7)
+    a, b, c, d = (round_curve(S7, 0, j) for j in (1, 2, 3, 4))
+    new = round_curve(S7, 4, 5)
+    p = validate_pants(S7, [a, b, c, d])
+    assert is_pants_edge(p, PantsDecomposition(S7, [a, b, c, new]))
+    # The same move with a shared curve listed twice is not an edge.
+    assert not is_pants_edge(p, PantsDecomposition(S7, [a, a, b, c, new]))
+    # Nor is one whose incoming curve meets a kept curve.
+    crossing = round_curve(S7, 1, 3)
+    assert geometric_intersection(crossing, b) == 2
+    assert geometric_intersection(crossing, a) == 2
+    assert not is_dual_edge(p, PantsDecomposition(S7, [a, crossing, c, d]))
+
+
+def test_verify_path_validates_the_first_vertex():
+    bad = PantsDecomposition(S6, [round_curve(S6, 0, 1), round_curve(S6, 1, 2),
+                                  round_curve(S6, 0, 3)])
+    assert not DistanceResult("pants", 0, [bad]).verify_path()
+    good = validate_pants(S6, [round_curve(S6, 0, 1), round_curve(S6, 0, 2),
+                               round_curve(S6, 0, 3)])
+    assert DistanceResult("pants", 0, [good]).verify_path()
+    assert not DistanceResult("pants", 0, []).verify_path()
