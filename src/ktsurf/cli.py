@@ -10,8 +10,9 @@ Subcommands:
 
 Budgets come from flags or the environment (KT_TWIST_BUDGET, KT_NODE_BUDGET,
 KT_BRIDGE_CAP); flags win.  Each subcommand takes only the budget and format
-flags it reads.  Exit codes: 0 for success/exact, 2 for
-bounds-only results, 1 for input errors or failing suites.
+flags it reads, and reads only their environment overrides.  Exit codes: 0
+for success/exact, 2 for bounds-only results, 1 for input errors or failing
+suites.
 """
 
 from __future__ import annotations
@@ -42,12 +43,16 @@ _BUDGET_FLAGS = {
 def _add_budget_flags(p: argparse.ArgumentParser, *flags: str) -> None:
     """Register those budget flags that the subcommand reads."""
     for flag in flags:
-        env, default = _BUDGET_FLAGS[flag]
-        p.add_argument(flag, type=int,
-                       default=int(os.environ.get(env) or default))
+        p.add_argument(flag, type=int)
 
 
-def _check_budgets(args) -> None:
+def _resolve_budgets(args) -> None:
+    """Fill the budget flags the subcommand reads but was not given from
+    their environment override or default, then range-check them."""
+    for flag, (env, default) in _BUDGET_FLAGS.items():
+        dest = flag[2:].replace("-", "_")
+        if getattr(args, dest, 0) is None:
+            setattr(args, dest, int(os.environ.get(env) or default))
     if (getattr(args, "twist_budget", 0) < 0
             or getattr(args, "node_budget", 1) <= 0
             or getattr(args, "bridge_cap", 1) <= 0):
@@ -222,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _check_budgets(args)
+        _resolve_budgets(args)
         return args.func(args)
     except (CurveError, PantsError, TangleError, SpineError, InvariantError,
             ValueError, OSError) as exc:

@@ -445,6 +445,12 @@ def verify_certificate(cert: KTCertificate) -> CheckReport:
             # Definitional zero for the doubly-pointed sphere.
             rep.record(f"{kc.kind}-zero", kc.total == 0, kc.note)
             continue
+        missing = ([f"unlink {i}" for i in (1, 2, 3) if i not in kc.pairs]
+                   + [f"cross {t}" for t in CROSS_ROLES if t not in kc.cross])
+        if missing:
+            rep.record(f"{kc.kind}-blocks", False,
+                       "missing " + ", ".join(missing))
+            continue
         total = 0
         for i in (1, 2, 3):
             pair = kc.pairs[i]

@@ -20,13 +20,19 @@ independent lower bound (the trivial one here is the number of curves of the
 target missing from the source, since each move replaces a single curve).
 
 Candidate curves live in a :class:`CurvePool`: a tuple of curves that also
-owns a ``key -> id`` index and, per curve that a search has asked
-about, bitmask rows over the pool ids (disjoint from it, meeting it exactly
-twice, meeting it at least twice).  Rows are filled lazily and only from
-:func:`~ktsurf.curves.geometric_intersection`, one call per pool curve a
-search actually asks about, so every number still comes from the diagram
-machinery.  A neighbour search is then a row read for the replaced curve
-followed by a disjointness filter against the rest of the decomposition.
+owns a ``key -> id`` index, a ``side -> ids`` index of the punctures each
+curve encloses and, per curve that a search has asked about, bitmask rows
+over the pool ids (disjoint from it, meeting it exactly twice).  Rows are
+filled lazily.  Every intersection number in them still comes from
+:func:`~ktsurf.curves.geometric_intersection`; the other entries come from
+the puncture-set rule: curves whose enclosed sets A, B are not nested
+(A <= B, B <= A or A & B empty) cannot be disjoint, since a curve lies in
+one side of a curve it misses, and nested curves cannot meet exactly twice,
+since two curves in minimal position meeting twice cut the sphere into four
+bigons, each holding a puncture, so A & B, A - B and B - A are all nonempty.
+A neighbour search first drops the ids that the rule alone rules out, then
+filters by disjointness from the kept curves, and asks about the replaced
+curve only on the survivors.
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .curves import (Curve, PuncturedSphere, apply_half_twist,
-                     format_curve, geometric_intersection, parse_curve,
-                     round_curve)
+                     enclosed_punctures, format_curve, geometric_intersection,
+                     parse_curve, round_curve)
 
 DEFAULT_TWIST_BUDGET = 3
 DEFAULT_NODE_BUDGET = 10 ** 6
@@ -155,18 +161,20 @@ def is_edge(p: PantsDecomposition, q: PantsDecomposition, kind: str) -> bool:
 
 
 class CurvePool(tuple):
-    """A tuple of curves with a ``key -> id`` index and lazy rows.
+    """A tuple of curves with ``key -> id`` and ``side -> ids`` indexes and
+    lazy rows.
 
     The id of a curve is its position in the tuple (the built pools are
-    sorted).  For any curve c, in the
-    pool or not, the pool keeps one row of bitmasks over the ids: the ids
-    whose intersection number with c is known, and among those the ones
-    disjoint from c, meeting it exactly twice, and meeting it at least
-    twice.  A row is extended only on demand, one
-    :func:`~ktsurf.curves.geometric_intersection` call per missing id.
-    Pools are built once per parameter set and compare like tuples; the
-    hash is computed once.  Building a pool from a pool returns it, rows
-    and all.
+    sorted); its side is the bitmask of its enclosed punctures.  For any
+    curve c, in the pool or not, the pool keeps one row of bitmasks over
+    the ids, ``[known0, zero, known2, two]``: the ids for which "disjoint
+    from c?" is decided and those among them that are, and the same for
+    "meeting c exactly twice?".  A new row is decided by the puncture-set
+    rule (see the module docstring) on every id, for one question or the
+    other; a query then calls :func:`~ktsurf.curves.geometric_intersection`
+    once per id it still needs, which decides both questions.  Pools are
+    built once per parameter set and compare like tuples; the hash is
+    computed once.  Building a pool from a pool returns it, rows and all.
     """
 
     def __new__(cls, curves: Iterable[Curve]):
@@ -174,6 +182,11 @@ class CurvePool(tuple):
             return curves
         self = super().__new__(cls, curves)
         self.ids = {c.key: k for k, c in enumerate(self)}
+        self.full = (1 << len(self)) - 1
+        self._sides: dict[int, int] = {}
+        for k, c in enumerate(self):
+            side = _side(c)
+            self._sides[side] = self._sides.get(side, 0) | 1 << k
         self._rows: dict = {}
         self._hash = tuple.__hash__(self)
         return self
@@ -190,36 +203,51 @@ class CurvePool(tuple):
                 out |= 1 << k
         return out
 
-    def _row(self, c: Curve, among: int) -> list[int]:
-        """Row of c, [known, disjoint, twice, at least twice], known at
-        least on the ids of `among`."""
+    def _row(self, c: Curve, among: int, question: int) -> list[int]:
+        """Row of c with `question` (0: disjoint? 2: twice?) decided at
+        least on the ids of `among`.  A new row starts from the
+        puncture-set rule: nested ids are not twice, the others not
+        disjoint."""
         row = self._rows.get(c.key)
         if row is None:
-            row = self._rows[c.key] = [0, 0, 0, 0]
-        todo = among & ~row[0]
+            a = _side(c)
+            nested = 0
+            for b, ids in self._sides.items():
+                if not (a & b and a & ~b and b & ~a):
+                    nested |= ids
+            row = self._rows[c.key] = [self.full ^ nested, 0, nested, 0]
+        todo = among & ~row[question]
         if todo:
-            known, zero, two, many = row
+            known0, zero, known2, two = row
             for k in _ids_of(todo):
                 i = geometric_intersection(self[k], c)
-                bit = 1 << k
                 if i == 0:
-                    zero |= bit
-                elif i >= 2:
-                    many |= bit
-                    if i == 2:
-                        two |= bit
-            row[:] = known | todo, zero, two, many
+                    zero |= 1 << k
+                elif i == 2:
+                    two |= 1 << k
+            row[:] = known0 | todo, zero, known2 | todo, two
         return row
 
-    def _meeting(self, c: Curve, kind: str) -> int:
-        """Ids of the curves meeting c twice (pants) or at least twice
-        (dual)."""
-        row = self._row(c, (1 << len(self)) - 1)
-        return row[2] if kind == "pants" else row[3]
+    def _possible(self, c: Curve, question: int) -> int:
+        """Ids whose answer to `question` about c is yes or not yet known."""
+        known, yes = self._row(c, 0, question)[question:question + 2]
+        return ~known | yes
+
+    def _meeting(self, c: Curve, among: int, kind: str) -> int:
+        """Those ids of `among` whose curves meet c twice (pants) or at
+        least twice (dual)."""
+        if kind == "pants":
+            return among & self._row(c, among, 2)[3]
+        return among & ~self._row(c, among, 0)[1]
 
     def _disjoint(self, c: Curve, among: int) -> int:
         """Those ids of `among` whose curves miss c."""
-        return among & self._row(c, among)[1]
+        return among & self._row(c, among, 0)[1]
+
+
+def _side(c: Curve) -> int:
+    """Bitmask of the punctures c encloses."""
+    return sum(1 << k for k in enclosed_punctures(c))
 
 
 def _ids_of(mask: int):
@@ -298,18 +326,24 @@ def neighbor_candidates(p: PantsDecomposition, index: int,
     Candidates come from the bounded twist-word pool (plus any `extra`
     curves); results are deduplicated and sorted for deterministic search.
     An explicit `pool` replaces the default twist-word pool.  Pool curves
-    are read off the pool's rows: those meeting the replaced curve twice
-    (at least twice for the dual kind), then those missing each remaining
-    curve in turn.
+    are read off the pool's rows: after the ids that the puncture-set rule
+    rules out are dropped, those missing each remaining curve in turn,
+    then, among the survivors, those meeting the replaced curve twice (at
+    least twice for the dual kind).
     """
     if pool is None:
         pool = curve_pool(p.sphere, twist_budget)
     pool = CurvePool(pool)
     old = p.curves[index]
     rest = [c for k, c in enumerate(p.curves) if k != index]
-    found = pool._meeting(old, kind) & ~pool.mask(p.curves)
+    found = pool.full & ~pool.mask(p.curves)
+    for c in rest:
+        found &= pool._possible(c, 0)
+    if kind == "pants":
+        found &= pool._possible(old, 2)
     for c in rest:
         found = pool._disjoint(c, found)
+    found = pool._meeting(old, found, kind)
     keys = {c.key for c in p.curves}
     cands = [pool[k] for k in _ids_of(found)]
     for cand in extra:

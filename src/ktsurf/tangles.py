@@ -25,8 +25,9 @@ least (n-3) - k).
 
 Pairs are scored on the pool index of :mod:`ktsurf.pants`: a decomposition
 is the bitmask of its curves' pool ids, so the shared count of a pair is the
-popcount of an AND.  The pool's intersection rows are derived only from
-``geometric_intersection``.  Defining pairs are memoized per (upper arcs,
+popcount of an AND.  The pool's rows take every intersection number from
+``geometric_intersection`` and their other entries from the puncture-set
+rule of :mod:`ktsurf.pants`.  Defining pairs are memoized per (upper arcs,
 lower arcs, kind, budgets, pool); callers receive a fresh list each time.
 """
 

@@ -124,6 +124,7 @@ def test_subcommands_take_only_the_flags_they_read():
     (["invariant", "P+"], {"KT_NODE_BUDGET": "0"}),
     (["verify", "edp1", "--bridge-cap", "0"], {}),
     (["invariant", "P+"], {"KT_TWIST_BUDGET": "three"}),
+    (["verify", "edp1"], {"KT_BRIDGE_CAP": "x"}),
 ])
 def test_bad_budget_is_a_clean_error(args, env, monkeypatch, capsys):
     for name, value in env.items():
@@ -131,6 +132,14 @@ def test_bad_budget_is_a_clean_error(args, env, monkeypatch, capsys):
     code, _ = run_cli(args)
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_override_is_read_only_by_the_subcommands_taking_it(monkeypatch,
+                                                            capsys):
+    monkeypatch.setenv("KT_BRIDGE_CAP", "x")
+    code, out = run_cli(["invariant", "P+"])
+    assert code == 0 and "verification: ok" in out
+    assert capsys.readouterr().err == ""
 
 
 def test_distance_rejects_an_invalid_literal(capsys):

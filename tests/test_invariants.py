@@ -240,3 +240,15 @@ def test_line_outside_its_block_is_an_invariant_error(header):
             if not ln.strip().startswith(header + " ")]
     with pytest.raises(InvariantError, match="misplaced"):
         parse_certificate("\n".join(kept) + "\n")
+
+
+@pytest.mark.parametrize("header", ["unlink 2 within 1", "cross 23 length 0"])
+def test_missing_block_is_a_failed_clause(header):
+    # The block's other lines fold into the block before it, so the text
+    # parses; the first kind then lacks the block.
+    lines = format_certificate(kt_bounds(standard("P+"))).splitlines()
+    lines.remove("  " + header)
+    rep = verify_certificate(parse_certificate("\n".join(lines) + "\n"))
+    block = " ".join(header.split()[:2])
+    assert not rep.ok
+    assert rep.failures == [f"pants-blocks: missing {block}"]

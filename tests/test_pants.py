@@ -8,7 +8,8 @@ import random
 import pytest
 
 from ktsurf.curves import (PuncturedSphere, apply_half_twist, apply_word,
-                           format_curve, geometric_intersection, round_curve)
+                           enclosed_punctures, format_curve,
+                           geometric_intersection, round_curve)
 from ktsurf.farey import (curve_of_slope, farey_distance, farey_distance_bfs,
                           farey_distance_slopes, is_farey_edge,
                           normalize_slope, slope_of_curve)
@@ -196,6 +197,46 @@ def test_indexed_neighbors_match_scan(sphere, count):
                         for explicit in (CurvePool(tuple(pool)), tuple(pool)):
                             assert neighbor_candidates(
                                 p, index, budget, kind, ex, explicit) == want
+
+
+def _nested(a, b):
+    return a <= b or b <= a or not a & b
+
+
+def test_puncture_set_rule():
+    # Disjoint curves have nested enclosed sets; curves meeting twice do not.
+    def check(c, d):
+        i = geometric_intersection(c, d)
+        if _nested(enclosed_punctures(c), enclosed_punctures(d)):
+            assert i != 2, (format_curve(c), format_curve(d))
+        else:
+            assert i != 0, (format_curve(c), format_curve(d))
+
+    for c, d in itertools.combinations(curve_pool(PuncturedSphere(5)), 2):
+        check(c, d)
+    pool = curve_pool(S8)
+    rng = random.Random(2024)
+    for _ in range(2000):
+        check(*rng.sample(pool, 2))
+
+
+def test_neighbor_search_asks_fewer_intersections_than_a_row(monkeypatch):
+    import ktsurf.pants as pants
+
+    calls = []
+
+    def counted(c, d):
+        calls.append(1)
+        return geometric_intersection(c, d)
+
+    monkeypatch.setattr(pants, "geometric_intersection", counted)
+    pool = CurvePool(tuple(curve_pool(S8)))
+    p = validate_pants(S8, [round_curve(S8, 0, k) for k in range(1, 6)])
+    want = _scan_candidates(p, 2, pool, "pants", ())
+    calls.clear()
+    assert neighbor_candidates(p, 2, pool=pool) == want
+    # The replaced curve's full row alone would cost len(pool) calls.
+    assert 0 < len(calls) < len(pool) // 4
 
 
 def test_distance_zero_and_one():
